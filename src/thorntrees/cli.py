@@ -71,34 +71,15 @@ def cmd_table(args):
                 print("%d,%d,%d,formula" % (n, m, row[m]))
         return 0
     if fam == "Bprime":
+        return _table_Bprime(args)
+    if args.oracle:
+        table = oracle.table_for(fam, n, args.budget)
+    elif fam == "B":
         if n > SOLVER_LIMIT:
-            print("refused: n=%d exceeds solver limit %d" % (n, SOLVER_LIMIT),
-                  file=sys.stderr)
-            return 2
-        table = counting.solve_B(n)
-        if args.format == "json":
-            print(json.dumps(
-                {"family": "Bprime", "n": n, "provenance": "solver",
-                 "rows": [[str(m), str(counting.count_Bprime(n, m, table))]
-                          for m in range(1, n + 1)]}, sort_keys=True))
-        else:
-            print("m,value,provenance")
-            for m in range(1, n + 1):
-                print("%d,%d,solver" % (m, counting.count_Bprime(n, m, table)))
-        return 0
-    if fam == "B":
-        if n > SOLVER_LIMIT:
-            print("refused: n=%d exceeds solver limit %d" % (n, SOLVER_LIMIT),
-                  file=sys.stderr)
-            return 2
+            return _refuse_solver(n)
         table = counting.solve_B(n)
     else:
-        try:
-            table = (oracle.table_for(fam, n, args.budget) if args.oracle
-                     else counting.table_for(fam, n))
-        except BudgetExceeded as exc:
-            print("refused: %s" % exc, file=sys.stderr)
-            return 2
+        table = counting.table_for(fam, n)
     if args.format == "json":
         obj = table.to_json_obj()
         if args.parity is not None:
@@ -116,6 +97,40 @@ def cmd_table(args):
     return 0
 
 
+def _refuse_solver(n):
+    print("refused: n=%d exceeds solver limit %d" % (n, SOLVER_LIMIT),
+          file=sys.stderr)
+    return 2
+
+
+def _table_Bprime(args):
+    n = args.n
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if args.oracle:
+        budget = (oracle.default_budget("Bprime") if args.budget is None
+                  else args.budget)
+        values = [oracle.enumerate_Bprime(n, m, budget)
+                  for m in range(1, n + 1)]
+        provenance = "oracle"
+    else:
+        if n > SOLVER_LIMIT:
+            return _refuse_solver(n)
+        table = counting.solve_B(n)
+        values = [counting.count_Bprime(n, m, table) for m in range(1, n + 1)]
+        provenance = "solver"
+    if args.format == "json":
+        print(json.dumps(
+            {"family": "Bprime", "n": n, "provenance": provenance,
+             "rows": [[str(m), str(v)] for m, v in enumerate(values, 1)]},
+            sort_keys=True))
+    else:
+        print("m,value,provenance")
+        for m, v in enumerate(values, 1):
+            print("%d,%d,%s" % (m, v, provenance))
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -124,17 +139,17 @@ def _suite_zagier(n, budget, report):
     if n > SOLVER_LIMIT:
         report.refused = "n=%d exceeds solver limit %d" % (n, SOLVER_LIMIT)
         return
-    for row in counting.verify_zagier(n):
+    rows = counting.verify_zagier(n)
+    for row in rows:
         lhs = n * (n + 1) // 2 * row["Bprime"]
         if row["m"] % 2 == n % 2:
             report.add("zagier m=%d" % row["m"], row["stirling"], lhs, "solver")
         else:
             report.add("offparity m=%d" % row["m"], 0, row["Bprime"], "solver")
     if n <= budget:
-        for m in range(1, n + 1):
-            report.add("oracle Bprime m=%d" % m,
-                       counting.count_Bprime(n, m),
-                       oracle.enumerate_Bprime(n, m, budget), "oracle")
+        for row in rows:
+            report.add("oracle Bprime m=%d" % row["m"], row["Bprime"],
+                       oracle.enumerate_Bprime(n, row["m"], budget), "oracle")
 
 
 def _suite_reformulation(n, budget, report):
@@ -270,7 +285,10 @@ def build_parser():
                    choices=["A", "B", "Bprime", "C", "D", "ST", "stirling"])
     t.add_argument("n", type=int)
     t.add_argument("--format", choices=["csv", "json"], default="csv")
-    t.add_argument("--budget", type=int, default=oracle.DEFAULT_SN_BUDGET)
+    t.add_argument("--budget", type=int, default=None,
+                   help="largest n an oracle may sweep (default: %d for the "
+                        "pair families C and D, %d otherwise)"
+                        % (oracle.DEFAULT_PAIR_BUDGET, oracle.DEFAULT_SN_BUDGET))
     t.add_argument("--parity", type=int, default=None,
                    help="keep only partitions with this length parity")
     t.add_argument("--oracle", action="store_true",

@@ -149,7 +149,10 @@ def solve_B(n):
                 coeff = i * lam.multiplicity(i)
             else:
                 rhs -= i * lamp.multiplicity(i) * B[lamp]
-        assert coeff == lam[0] * lam.multiplicity(lam[0])
+        pivot = lam[0] * lam.multiplicity(lam[0])
+        if coeff != pivot:
+            raise InexactDivisionError(
+                "pivot of B(%r) is %r, expected %d" % (lam, coeff, pivot))
         val = rhs / coeff
         if val.denominator != 1 or val < 0:
             raise InexactDivisionError(

@@ -2,17 +2,24 @@
 
 Everything here iterates over complete search spaces and counts exactly;
 no formulas, no sampling.  Budgets guard against accidental huge sweeps
-and are enforced by refusal, never by truncation.
+and are enforced by refusal, never by truncation, before any sweep runs.
+
+Each search space is swept once per n, over plain 0-based image tuples,
+and only the per-type counters of a sweep are kept (memoised per n):
+
+  S_n sweep    every beta in S_n          -> A and B by type, B' by cycles
+  pair sweep   every (pi, beta in S_pi)   -> C and D by the type of pi
+  tree sweep   every star thorn tree      -> ST by type
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations as iperm
-from math import factorial, prod
+from functools import cache
+from itertools import combinations, permutations
 
-from .partition import Partition, partitions_of, permutations_in, set_partitions_of_type
-from .perm import all_permutations, canonical_long_cycle
+from .partition import partitions_of, set_partitions_of_type
 
 DEFAULT_SN_BUDGET = 8     # full S_n sweeps (8! = 40320)
 DEFAULT_PAIR_BUDGET = 6   # (set partition, permutation) pair sweeps
@@ -22,40 +29,127 @@ class BudgetExceeded(ValueError):
     """Requested enumeration is beyond the configured budget."""
 
 
-def _check(n, budget, kind):
+def _check(n, budget, kind, long_cycle=True):
     if n > budget:
         raise BudgetExceeded(
             "%s enumeration refused: n=%d exceeds budget %d" % (kind, n, budget))
+    if long_cycle and n < 1:
+        raise ValueError("the long cycle (1 2 .. n) needs n >= 1")
+
+
+def _cycle_type(images):
+    """Sorted cycle lengths of a 0-based image tuple."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        if not seen[start]:
+            k, size = start, 0
+            while not seen[k]:
+                seen[k] = True
+                k = images[k]
+                size += 1
+            lengths.append(size)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
+
+
+def _long_complement(images):
+    """True iff alpha = (0 1 .. n-1) beta^{-1} is one n-cycle (n >= 1).
+
+    Walks alpha^{-1} = beta (0 1 .. n-1)^{-1}, i.e. x -> images[x - 1],
+    from 0, so no inverse is built.
+    """
+    x, steps = images[-1], 1
+    while x:
+        x = images[x - 1]
+        steps += 1
+    return steps == len(images)
+
+
+@cache
+def _sn_sweep(n):
+    """(A by type, B by type, B' by number of cycles) from one pass over S_n."""
+    A, B, Bp = Counter(), Counter(), Counter()
+    for beta in permutations(range(n)):
+        lam = _cycle_type(beta)
+        A[lam] += 1
+        if n and _long_complement(beta):
+            B[lam] += 1
+            Bp[len(lam)] += 1
+    return A, B, Bp
+
+
+def _in_place(images, blocks, i=0):
+    """Run through S_pi, writing each beta into ``images`` block by block;
+    yields once per beta, with ``images`` holding it."""
+    if i == len(blocks):
+        yield
+        return
+    block = blocks[i]
+    for target in permutations(block):
+        for src, dst in zip(block, target):
+            images[src] = dst
+        yield from _in_place(images, blocks, i + 1)
+
+
+@cache
+def _pair_sweep(n):
+    """(C, D) by the type of pi, from one pass over every couple
+    (pi, beta in S_pi); D counts the couples with a long complement."""
+    C, D = Counter(), Counter()
+    images = list(range(n))
+    for lam in partitions_of(n):
+        for pi in set_partitions_of_type(lam):
+            blocks = [[x - 1 for x in b] for b in pi.blocks]
+            for _ in _in_place(images, blocks):
+                C[lam.parts] += 1
+                if _long_complement(images):
+                    D[lam.parts] += 1
+    return C, D
+
+
+def _compositions(n, p):
+    """Every sequence of p positive integers summing to n."""
+    if p == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(1, n - p + 2):
+        for rest in _compositions(n - first, p - 1):
+            yield (first,) + rest
+
+
+@cache
+def _tree_sweep(n):
+    """ST by type, from one pass over every star thorn tree of size n.
+
+    A tree is a set of p edge positions among the n root slots plus the
+    degrees of its p black vertices in root order: a composition of n.
+    """
+    ST = Counter()
+    for p in range(n + 1):
+        types = [tuple(sorted(c, reverse=True)) for c in _compositions(n, p)]
+        for _edges in combinations(range(n), p):
+            ST.update(types)
+    return ST
 
 
 def enumerate_A(lam, budget=DEFAULT_SN_BUDGET):
     """Count permutations of type lam by sweeping S_n."""
-    n = lam.size
-    _check(n, budget, "S_n")
-    return sum(1 for f in all_permutations(n) if f.cycle_type() == lam)
+    _check(lam.size, budget, "S_n", long_cycle=False)
+    return _sn_sweep(lam.size)[0][lam.parts]
 
 
 def enumerate_B(lam, budget=DEFAULT_SN_BUDGET):
     """Count permutations beta of type lam with (1 2 .. n) beta^{-1} long."""
-    n = lam.size
-    _check(n, budget, "S_n")
-    c = canonical_long_cycle(n)
-    count = 0
-    for beta in all_permutations(n):
-        if beta.cycle_type() == lam and (c * beta.inverse()).is_long_cycle():
-            count += 1
-    return count
+    _check(lam.size, budget, "S_n")
+    return _sn_sweep(lam.size)[1][lam.parts]
 
 
 def enumerate_Bprime(n, m, budget=DEFAULT_SN_BUDGET):
     """Count permutations beta of [n] with m cycles and long complement."""
     _check(n, budget, "S_n")
-    c = canonical_long_cycle(n)
-    count = 0
-    for beta in all_permutations(n):
-        if len(beta.cycles()) == m and (c * beta.inverse()).is_long_cycle():
-            count += 1
-    return count
+    return _sn_sweep(n)[2][m]
 
 
 def enumerate_CD(lam, budget=DEFAULT_PAIR_BUDGET):
@@ -64,32 +158,15 @@ def enumerate_CD(lam, budget=DEFAULT_PAIR_BUDGET):
     Returns (C, D): C counts all couples, D those whose complement
     (1 2 .. n) beta^{-1} is a long cycle.
     """
-    n = lam.size
-    _check(n, budget, "pair")
-    c = canonical_long_cycle(n)
-    C = D = 0
-    for pi in set_partitions_of_type(lam):
-        for beta in permutations_in(pi):
-            C += 1
-            if (c * beta.inverse()).is_long_cycle():
-                D += 1
-    return C, D
+    _check(lam.size, budget, "pair")
+    C, D = _pair_sweep(lam.size)
+    return C[lam.parts], D[lam.parts]
 
 
 def enumerate_ST(mu, budget=DEFAULT_SN_BUDGET):
-    """Count star thorn trees of type mu by direct construction.
-
-    A tree is determined by the set of edge positions among the n root
-    slots plus an assignment of the degree multiset to the black vertices
-    in root order.
-    """
-    n, p = mu.size, mu.length
-    _check(n, budget, "tree")
-    degree_orders = set(iperm(mu.parts))
-    count = 0
-    for _positions in combinations(range(n), p):
-        count += len(degree_orders)
-    return count
+    """Count star thorn trees of type mu by sweeping every tree of size n."""
+    _check(mu.size, budget, "tree", long_cycle=False)
+    return _tree_sweep(mu.size)[mu.parts]
 
 
 def reformulation_probability(lam, budget=DEFAULT_PAIR_BUDGET):
@@ -103,23 +180,21 @@ def reformulation_probability(lam, budget=DEFAULT_PAIR_BUDGET):
     return Fraction(D, C)
 
 
+def default_budget(family):
+    """The budget a family's oracle uses when none is given."""
+    return DEFAULT_PAIR_BUDGET if family in ("C", "D") else DEFAULT_SN_BUDGET
+
+
 def table_for(family, n, budget=None):
     """Oracle-backed CountTable for family A | B | C | D | ST."""
     from .counting import CountTable
 
+    count = {"A": enumerate_A, "B": enumerate_B, "ST": enumerate_ST,
+             "C": lambda lam, b: enumerate_CD(lam, b)[0],
+             "D": lambda lam, b: enumerate_CD(lam, b)[1]}.get(family)
+    if count is None:
+        raise ValueError("unknown family %r" % family)
     if budget is None:
-        budget = DEFAULT_PAIR_BUDGET if family in ("C", "D") else DEFAULT_SN_BUDGET
-    entries = {}
-    for lam in partitions_of(n):
-        if family == "A":
-            entries[lam] = enumerate_A(lam, budget)
-        elif family == "B":
-            entries[lam] = enumerate_B(lam, budget)
-        elif family == "ST":
-            entries[lam] = enumerate_ST(lam, budget)
-        elif family in ("C", "D"):
-            C, D = enumerate_CD(lam, budget)
-            entries[lam] = C if family == "C" else D
-        else:
-            raise ValueError("unknown family %r" % family)
+        budget = default_budget(family)
+    entries = {lam: count(lam, budget) for lam in partitions_of(n)}
     return CountTable(n, family, entries, provenance="oracle")

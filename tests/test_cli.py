@@ -63,6 +63,40 @@ def test_table_refusal(capsys):
     assert "refused" in err
 
 
+def test_table_oracle_default_budget_per_family(capsys):
+    code, out, err = run(capsys, "table", "C", "7", "--oracle")
+    assert code == 2
+    assert out == ""
+    assert "refused" in err
+    code, out, _ = run(capsys, "table", "A", "8", "--oracle")
+    assert code == 0
+    assert "8^1,5040,oracle" in out.splitlines()
+
+
+def test_table_B_oracle(capsys):
+    _, solver, _ = run(capsys, "table", "B", "6")
+    code, brute, _ = run(capsys, "table", "B", "6", "--oracle")
+    assert code == 0
+    assert brute == solver.replace(",solver", ",oracle")
+    code, out, err = run(capsys, "table", "B", "9", "--oracle")
+    assert code == 2
+    assert out == ""
+    assert "refused" in err
+
+
+def test_table_Bprime_oracle(capsys):
+    _, solver, _ = run(capsys, "table", "Bprime", "7", "--format", "json")
+    code, brute, _ = run(capsys, "table", "Bprime", "7", "--oracle",
+                         "--format", "json")
+    assert code == 0
+    assert json.loads(brute)["provenance"] == "oracle"
+    assert json.loads(brute)["rows"] == json.loads(solver)["rows"]
+    code, out, _ = run(capsys, "table", "Bprime", "7", "--oracle",
+                       "--budget", "6")
+    assert code == 2
+    assert out == ""
+
+
 def test_verify_zagier(capsys):
     code, out, err = run(capsys, "verify", "zagier", "6")
     assert code == 0

@@ -1,9 +1,9 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
-from thorntrees.counting import count_C, count_D
+from thorntrees.counting import count_C, count_D, solve_B, stirling1_unsigned
 from thorntrees.oracle import (
     BudgetExceeded,
     enumerate_A,
@@ -14,6 +14,7 @@ from thorntrees.oracle import (
     reformulation_probability,
 )
 from thorntrees.partition import Partition, partitions_of
+from thorntrees.perm import all_permutations, canonical_long_cycle
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -50,6 +51,52 @@ def test_enumerate_ST_examples():
     assert enumerate_ST(Partition([2, 1])) == 6
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_ST_visits_every_tree(n):
+    # p edge positions and a composition of n into p degrees, summed over
+    # p (Vandermonde): binomial(2n-1, n-1) trees in all.
+    assert sum(enumerate_ST(mu) for mu in partitions_of(n)) == comb(
+        2 * n - 1, n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sn_sweep_matches_permutation_objects(n):
+    # Reference: validated Permutation objects, complement by compose/inverse.
+    c = canonical_long_cycle(n)
+    A, B, Bp = {}, {}, {}
+    for beta in all_permutations(n):
+        lam = beta.cycle_type()
+        A[lam] = A.get(lam, 0) + 1
+        if (c * beta.inverse()).is_long_cycle():
+            B[lam] = B.get(lam, 0) + 1
+            Bp[lam.length] = Bp.get(lam.length, 0) + 1
+    for lam in partitions_of(n):
+        assert enumerate_A(lam) == A.get(lam, 0)
+        assert enumerate_B(lam) == B.get(lam, 0)
+    for m in range(1, n + 1):
+        assert enumerate_Bprime(n, m) == Bp.get(m, 0)
+
+
+def test_enumerate_B_matches_solver_at_8():
+    table = solve_B(8)
+    for lam in partitions_of(8):
+        assert enumerate_B(lam) == table[lam]
+
+
+def test_zagier_by_brute_force_at_8():
+    for m in range(1, 9):
+        b = enumerate_Bprime(8, m)
+        if m % 2 == 0:
+            assert 36 * b == stirling1_unsigned(9, m)
+        else:
+            assert b == 0
+
+
+def test_enumerate_CD_matches_formulas_at_7():
+    for lam in partitions_of(7):
+        assert enumerate_CD(lam, budget=7) == (count_C(lam), count_D(lam))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_reformulation_probability(n):
     for lam in partitions_of(n):
@@ -79,3 +126,23 @@ def test_budget_refusal():
         reformulation_probability(Partition([4, 3]))
     # overridable
     assert enumerate_CD(Partition([7]), budget=7)[0] == factorial(7)
+
+
+def test_budget_checked_before_cache():
+    assert enumerate_CD(Partition([4, 3]), budget=7) == (5040, 840)
+    assert enumerate_B(Partition([7]), budget=7) == 180
+    with pytest.raises(BudgetExceeded):
+        enumerate_CD(Partition([4, 3]), budget=6)
+    with pytest.raises(BudgetExceeded):
+        enumerate_B(Partition([7]), budget=6)
+    with pytest.raises(BudgetExceeded):
+        enumerate_Bprime(7, 1, budget=6)
+
+
+def test_long_cycle_needs_n_at_least_1():
+    assert enumerate_A(Partition([])) == 1
+    assert enumerate_ST(Partition([])) == 1
+    with pytest.raises(ValueError):
+        enumerate_B(Partition([]))
+    with pytest.raises(ValueError):
+        enumerate_Bprime(0, 1)

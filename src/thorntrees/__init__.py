@@ -5,22 +5,14 @@ identity checks."""
 from .partition import (
     Partition,
     SetPartition,
-    aut_of,
-    partition_down,
-    partition_up,
     partitions_of,
     permutations_in,
     set_partitions_of_type,
-    z_of,
 )
 from .perm import (
     Permutation,
     canonical_long_cycle,
     compose,
-    cycle_decomposition,
-    cycle_type,
-    inverse,
-    is_long_cycle,
 )
 from .counting import (
     CountTable,
@@ -46,7 +38,6 @@ from .structures import (
     deserialize,
     drop,
     lift,
-    new_map,
     serialize,
 )
 from .bijection import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .oracle import DEFAULT_PAIR_BUDGET
-from .partition import Partition, SetPartition
+from .partition import SetPartition
 from .perm import Permutation
 from .structures import (
     BlackPartitionedStarMap,
@@ -117,6 +117,8 @@ def psi_inverse(t):
     """
     tree = t.tree
     n = tree.n
+    if n == 0:
+        raise ValueError("the empty tree has no preimage: maps need n >= 1")
     sigma = t.sigma_map()
     sigma_inv = t.sigma_inv()
 
@@ -166,7 +168,9 @@ def psi_inverse(t):
         target = w - 1 if w > 0 else n - 1  # next slot counter-clockwise
         if white_labels[target] is not None:
             collided = white_labels[target]
-            assert collided == 1, "collision label must be 1, got %d" % collided
+            if collided != 1:
+                raise AssertionError("collision label must be 1, got %d"
+                                     % collided)
             return InverseOutcome(
                 success=False, step=i,
                 certificate={"collision_label": collided,
@@ -198,7 +202,8 @@ def psi_inverse(t):
               for b, labs in enumerate(black_labels)]
     pi = SetPartition(n, blocks)
     m = BlackPartitionedStarMap(beta, pi)
-    assert m.is_star and psi(m) == t, "inverse self-check failed"
+    if not (m.is_star and psi(m) == t):
+        raise AssertionError("inverse self-check failed")
     return InverseOutcome(success=True, map=m, labeled=labeled)
 
 
@@ -247,8 +252,8 @@ def aux_graph(t):
     point to the black extremity of the result.
     """
     tree = t.tree
-    if tree.white[0] is None:
-        raise NoP1Error("leftmost root slot is a thorn")
+    if tree.n == 0 or tree.white[0] is None:
+        raise NoP1Error("leftmost root slot is not an edge")
     root = tree.white[0]
     sigma = t.sigma_map()
     out = {}
@@ -256,7 +261,9 @@ def aux_graph(t):
         if b == root:
             continue
         s = tree.edge_slot(b)
-        assert s > 0  # only the root's edge can occupy the leftmost slot
+        if s == 0:
+            raise AssertionError("only the root's edge can occupy the "
+                                 "leftmost slot")
         v = tree.white[s - 1]
         out[b] = v if v is not None else sigma[s - 1][0]
     return AuxGraph(tree.p, root, out)
@@ -302,6 +309,8 @@ def contract(t, marked):
     g = aux_graph(t)
     if marked == g.root:
         raise ValueError("cannot contract the root vertex")
+    if marked not in g.out:
+        raise ValueError("no black vertex %d" % marked)
     target = g.out[marked]
     if target == marked:
         raise ValueError("marked vertex is self-looping")
@@ -313,7 +322,9 @@ def contract(t, marked):
     else:
         b2, t2 = t.sigma_map()[s - 1]
         marked_elem = ("t", b2, t2)
-    assert marked_elem[1] == target
+    if marked_elem[1] != target:
+        raise AssertionError("marked element %r is not on the successor %d"
+                             % (marked_elem, target))
 
     def new_black(c):
         return c if c < marked else c - 1
@@ -394,22 +405,19 @@ def expand(t, marked_elem, k):
 
 
 def proportion_stats(lam, budget=DEFAULT_PAIR_BUDGET):
-    """Exact (P, P') proportions of image trees of type lam.
+    """Exact proportions (P, P', P1 incidence) over the permuted thorn
+    trees of type lam, from one sweep.
 
-    P is relative to all permuted thorn trees of the type, P' to those
-    satisfying (P1).  Both closed forms are asserted.
+    P is the share of image trees among all trees, P' their share among
+    the trees satisfying (P1), and the P1 incidence is the share of trees
+    satisfying (P1).  The closed forms are 1/(n-p+1), n/(p(n-p+1)) and p/n.
     """
-    n, p = lam.size, lam.length
+    if lam.size < 1:
+        raise ValueError("n must be >= 1")
     total = with_p1 = image = 0
     for t in all_permuted_trees(lam, budget):
         total += 1
-        c = classify(t)
-        if c.kind != "no_p1":
-            with_p1 += 1
-        if c.kind == "image":
-            image += 1
-    P = Fraction(image, total)
-    Pp = Fraction(image, with_p1)
-    assert P == Fraction(1, n - p + 1)
-    assert Pp == Fraction(n, p * (n - p + 1))
-    return P, Pp
+        with_p1 += t.tree.white[0] is not None
+        image += classify(t).kind == "image"
+    return (Fraction(image, total), Fraction(image, with_p1),
+            Fraction(with_p1, total))

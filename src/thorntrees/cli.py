@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import bijection, counting, dot, oracle, structures, symfun
 from .oracle import BudgetExceeded
-from .partition import Partition, partitions_of
+from .partition import partitions_of
 from .structures import ParseError
 
 SOLVER_LIMIT = 40  # solve_B stays fast up to roughly this size
@@ -58,6 +58,9 @@ class RunReport:
 
 def cmd_table(args):
     fam, n = args.family, args.n
+    if args.parity is not None and fam in ("Bprime", "stirling"):
+        raise ValueError("--parity keeps partitions of a given length parity;"
+                         " %s is indexed by m, not by partitions" % fam)
     if fam == "stirling":
         row = counting.stirling1_row(n)
         if args.format == "json":
@@ -168,21 +171,23 @@ def _suite_identities(n, budget, report):
 
 def _suite_bijection(n, budget, report):
     for lam in partitions_of(n):
-        images = set()
-        for m in structures.all_star_maps(lam, budget):
-            t = bijection.psi(m)
-            images.add(t)
+        preimage = {bijection.psi(m): m
+                    for m in structures.all_star_maps(lam, budget)}
+        images = len(preimage)
+        failures = []  # (map, recovered map) pairs that disagree
+        agree = True
+        for t in structures.all_permuted_trees(lam, budget):
             out = bijection.psi_inverse(t)
-            if not (out.success and out.map == m):
-                report.add("roundtrip %s" % lam.exponential(), m, out.map,
-                           "oracle")
-                break
+            agree &= (bijection.classify(t).kind == "image") == out.success
+            m = preimage.pop(t, None)
+            if m is not None and out.map != m:
+                failures.append((m, out.map))
+        failures += [(m, None) for m in preimage.values()]  # never swept
+        if failures:
+            report.add("roundtrip %s" % lam.exponential(), *failures[0],
+                       "oracle")
         report.add("injectivity+image %s" % lam.exponential(),
-                   counting.count_D(lam), len(images), "oracle")
-        agree = all(
-            (bijection.classify(t).kind == "image")
-            == bijection.psi_inverse(t).success
-            for t in structures.all_permuted_trees(lam, budget))
+                   counting.count_D(lam), images, "oracle")
         report.add("classify agreement %s" % lam.exponential(), True, agree,
                    "oracle")
 
@@ -190,16 +195,13 @@ def _suite_bijection(n, budget, report):
 def _suite_proportions(n, budget, report):
     for lam in partitions_of(n):
         p = lam.length
-        P, Pp = bijection.proportion_stats(lam, budget)
+        P, Pp, P1 = bijection.proportion_stats(lam, budget)
         report.add("P %s" % lam.exponential(), Fraction(1, n - p + 1), P,
                    "oracle")
         report.add("P' %s" % lam.exponential(),
                    Fraction(n, p * (n - p + 1)), Pp, "oracle")
-        with_p1 = sum(1 for t in structures.all_permuted_trees(lam, budget)
-                      if t.tree.white[0] is not None)
-        total = sum(1 for _ in structures.all_permuted_trees(lam, budget))
         report.add("P1 incidence %s" % lam.exponential(),
-                   Fraction(p, n), Fraction(with_p1, total), "oracle")
+                   Fraction(p, n), P1, "oracle")
 
 
 SUITES = {"zagier": _suite_zagier, "reformulation": _suite_reformulation,
@@ -209,9 +211,13 @@ SUITES = {"zagier": _suite_zagier, "reformulation": _suite_reformulation,
 
 def cmd_verify(args):
     report = RunReport(command="verify %s %d" % (args.suite, args.n))
+    budget = args.budget
+    if budget is None:
+        budget = (oracle.default_budget("Bprime") if args.suite == "zagier"
+                  else oracle.DEFAULT_PAIR_BUDGET)
     t0 = time.monotonic()
     try:
-        SUITES[args.suite](args.n, args.budget, report)
+        SUITES[args.suite](args.n, budget, report)
     except BudgetExceeded as exc:
         report.refused = str(exc)
     report.wall_time = time.monotonic() - t0
@@ -224,9 +230,22 @@ def cmd_verify(args):
 # transform / export-dot
 
 
-def _load(path):
+KIND_NAMES = {
+    structures.BlackPartitionedStarMap: "black-partitioned star map",
+    structures.PermutedThornTree: "permuted thorn tree",
+    structures.StarThornTree: "star thorn tree",
+    structures.LabeledThornTree: "labeled thorn tree",
+}
+
+
+def _load(path, kind=None):
+    """Parse an object file; with ``kind`` given, refuse any other kind."""
     with open(path) as fh:
-        return structures.deserialize(fh.read())
+        obj = structures.deserialize(fh.read())
+    if kind is not None and type(obj) is not kind:
+        raise ParseError("expected a %s, found a %s"
+                         % (KIND_NAMES[kind], KIND_NAMES[type(obj)]))
+    return obj
 
 
 def _emit(args, text):
@@ -238,7 +257,8 @@ def _emit(args, text):
 
 
 def cmd_transform(args):
-    obj = _load(args.input)
+    obj = _load(args.input, structures.BlackPartitionedStarMap
+                if args.direction == "psi" else structures.PermutedThornTree)
     if args.direction == "psi":
         result = structures.serialize(bijection.psi(obj)) + "\n"
     elif args.direction == "invert":
@@ -263,7 +283,7 @@ def cmd_transform(args):
 
 
 def cmd_export_dot(args):
-    obj = _load(args.input)
+    obj = _load(args.input, structures.PermutedThornTree if args.aux else None)
     if args.aux:
         obj = bijection.aux_graph(obj)
     _emit(args, dot.to_dot(obj))
@@ -298,7 +318,10 @@ def build_parser():
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(SUITES))
     v.add_argument("n", type=int)
-    v.add_argument("--budget", type=int, default=oracle.DEFAULT_PAIR_BUDGET)
+    v.add_argument("--budget", type=int, default=None,
+                   help="largest n an oracle may sweep (default: %d for "
+                        "zagier, %d otherwise)"
+                        % (oracle.DEFAULT_SN_BUDGET, oracle.DEFAULT_PAIR_BUDGET))
     v.set_defaults(fn=cmd_verify)
 
     tr = sub.add_parser("transform", help="apply a bijection step to a file")
@@ -333,6 +356,9 @@ def main(argv=None):
     except (ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print("internal check failed: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

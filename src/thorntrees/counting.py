@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .partition import Partition, partitions_of
+from .partition import partitions_of
 
 
 class InexactDivisionError(ArithmeticError):

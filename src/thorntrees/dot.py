@@ -7,7 +7,7 @@ the convention used for drawing the pairing.
 
 from __future__ import annotations
 
-from .bijection import AuxGraph, aux_graph, NoP1Error
+from .bijection import AuxGraph
 from .structures import (
     BlackPartitionedStarMap,
     LabeledThornTree,

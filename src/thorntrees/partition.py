@@ -109,22 +109,6 @@ class Partition:
         return "Partition%r" % (self.parts,)
 
 
-def partition_up(lam, i):
-    return lam.up(i)
-
-
-def partition_down(mu, j):
-    return mu.down(j)
-
-
-def z_of(lam):
-    return lam.z()
-
-
-def aut_of(lam):
-    return lam.aut()
-
-
 def partitions_of(n, parity=None):
     """All partitions of n in decreasing lexicographic order.
 

@@ -112,27 +112,11 @@ def compose(f, g):
     return Permutation(f(g(k)) for k in range(1, f.n + 1))
 
 
-def inverse(f):
-    return f.inverse()
-
-
 def canonical_long_cycle(n):
     """The long cycle (1 2 ... n): k -> k+1, n -> 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return Permutation(list(range(2, n + 1)) + [1])
-
-
-def cycle_decomposition(f):
-    return f.cycles()
-
-
-def cycle_type(f):
-    return f.cycle_type()
-
-
-def is_long_cycle(f):
-    return f.is_long_cycle()
 
 
 def all_permutations(n):

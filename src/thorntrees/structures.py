@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations as iperm
-from math import factorial
 
 from .oracle import DEFAULT_PAIR_BUDGET, BudgetExceeded
 from .partition import Partition, SetPartition, permutations_in, set_partitions_of_type
@@ -151,20 +150,6 @@ class BlackPartitionedStarMap:
         """Block degree distribution (block sizes, since every edge of a
         black vertex counts once)."""
         return self.pi.type_of()
-
-
-def new_map(beta, pi):
-    return BlackPartitionedStarMap(beta, pi)
-
-
-def type_of_map(m):
-    return m.type_of()
-
-
-def type_of_tree(t):
-    if isinstance(t, PermutedThornTree):
-        return t.type_of()
-    return t.type_of()
 
 
 @dataclass(frozen=True)
@@ -372,20 +357,17 @@ def serialize(obj):
 
 
 def _tree_from_obj(d):
-    try:
-        white = []
-        for slot in d["white"]:
-            if "edge" in slot:
-                white.append(int(slot["edge"]))
-            elif "thorn" in slot:
-                white.append(None)
-            else:
-                raise ParseError("white slot must be an edge or a thorn: %r"
-                                 % (slot,))
-        blacks = tuple(int(b["thorns"]) for b in d["blacks"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError("malformed tree object: %s" % exc) from exc
-    tree = StarThornTree(tuple(white), blacks)
+    white = []
+    for slot in d["white"]:
+        if "edge" in slot:
+            white.append(int(slot["edge"]))
+        elif "thorn" in slot:
+            white.append(None)
+        else:
+            raise ParseError("white slot must be an edge or a thorn: %r"
+                             % (slot,))
+    tree = StarThornTree(tuple(white),
+                         tuple(int(b["thorns"]) for b in d["blacks"]))
     if tree.n != int(d["n"]):
         raise ParseError("declared n=%s but %d white slots" % (d["n"], tree.n))
     return tree
@@ -394,24 +376,26 @@ def _tree_from_obj(d):
 def from_json_obj(d):
     if not isinstance(d, dict):
         raise ParseError("top-level value must be an object")
-    if "beta" in d:
-        try:
+    try:
+        if "beta" in d:
             beta = Permutation(int(x) for x in d["beta"])
             pi = SetPartition(int(d["n"]), [list(map(int, b)) for b in d["pi"]])
-        except (KeyError, TypeError) as exc:
-            raise ParseError("malformed map object: %s" % exc) from exc
-        return BlackPartitionedStarMap(beta, pi)
-    if "white_labels" in d:
-        tree = _tree_from_obj(d["tree"])
-        return LabeledThornTree(tree, tuple(map(int, d["white_labels"])),
-                                tuple(tuple(map(int, x))
-                                      for x in d["black_labels"]))
-    if "sigma" in d:
-        tree = _tree_from_obj(d)
-        sigma = tuple((int(w), (int(b), int(t))) for w, (b, t) in d["sigma"])
-        return PermutedThornTree(tree, sigma)
-    if "white" in d:
-        return _tree_from_obj(d)
+            return BlackPartitionedStarMap(beta, pi)
+        if "white_labels" in d:
+            tree = _tree_from_obj(d["tree"])
+            return LabeledThornTree(tree, tuple(map(int, d["white_labels"])),
+                                    tuple(tuple(map(int, x))
+                                          for x in d["black_labels"]))
+        if "sigma" in d:
+            tree = _tree_from_obj(d)
+            sigma = tuple((int(w), (int(b), int(t)))
+                          for w, (b, t) in d["sigma"])
+            return PermutedThornTree(tree, sigma)
+        if "white" in d:
+            return _tree_from_obj(d)
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise ParseError("malformed object (keys: %s): %s"
+                         % (sorted(d), exc)) from exc
     raise ParseError("unrecognized object (keys: %s)" % sorted(d))
 
 

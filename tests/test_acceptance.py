@@ -133,7 +133,7 @@ def test_criterion_5_proportions(capsys):
     for n in range(1, 7):
         for lam in partitions_of(n):
             p = lam.length
-            P, Pp = proportion_stats(lam)
+            P, Pp, _ = proportion_stats(lam)
             ok = ok and P == Fraction(1, n - p + 1)
             ok = ok and Pp == Fraction(n, p * (n - p + 1))
             total = with_p1 = 0

@@ -175,7 +175,7 @@ def test_contract_guards():
 def test_proportions(n):
     for lam in partitions_of(n):
         p = lam.length
-        P, Pp = proportion_stats(lam)
+        P, Pp, _ = proportion_stats(lam)
         assert P == Fraction(1, n - p + 1)
         assert Pp == Fraction(n, p * (n - p + 1))
 
@@ -190,3 +190,46 @@ def test_p1_incidence(n):
             if classify(t).kind != "no_p1":
                 with_p1 += 1
         assert Fraction(with_p1, total) == Fraction(lam.length, n)
+
+
+def test_p1_incidence_from_proportion_stats():
+    for lam in partitions_of(5):
+        assert proportion_stats(lam)[2] == Fraction(lam.length, 5)
+
+
+SELF_CHECK_UNDER_O = """
+import sys
+from thorntrees import bijection
+from thorntrees.structures import deserialize
+
+t = bijection.psi(deserialize(open(sys.argv[1]).read()))
+wrong = deserialize(open(sys.argv[2]).read())
+bijection.psi = lambda m: wrong
+try:
+    bijection.psi_inverse(t)
+except AssertionError as exc:
+    print("optimize=%d raised: %s" % (sys.flags.optimize, exc))
+"""
+
+
+def test_inverse_self_check_survives_python_O():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", SELF_CHECK_UNDER_O,
+         str(root / "fixtures" / "example21.json"),
+         str(root / "fixtures" / "selfloop4.json")],
+        capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "optimize=1 raised: inverse self-check failed\n"
+
+
+def test_empty_tree():
+    t = PermutedThornTree(StarThornTree((), ()), ())
+    assert classify(t).kind == "no_p1"
+    with pytest.raises(ValueError):
+        psi_inverse(t)

@@ -1,8 +1,14 @@
+import io
 import json
 import pathlib
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from thorntrees import bijection, structures
+from thorntrees.bijection import InverseOutcome, psi, psi_inverse
 from thorntrees.cli import main
 from thorntrees.structures import deserialize
 
@@ -112,6 +118,13 @@ def test_verify_bijection(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+@pytest.mark.parametrize("suite", ["bijection", "identities", "proportions",
+                                   "reformulation", "zagier"])
+def test_verify_n_0_is_a_usage_error(capsys, suite):
+    code, _, err = run(capsys, "verify", suite, "0")
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_verify_refusal(capsys):
     code, out, _ = run(capsys, "verify", "proportions", "8")
     assert code == 2
@@ -189,3 +202,167 @@ def test_malformed_json(tmp_path, capsys):
 def test_usage_error(capsys):
     code, _, _ = run(capsys, "table", "Z", "4")
     assert code == 2
+
+
+def test_verify_budget_default_per_suite(capsys):
+    # zagier sweeps S_n (default budget 8); the tree suites sweep pairs (6)
+    for n, oracle_rows in ((7, 7), (8, 8), (9, 0)):
+        code, out, _ = run(capsys, "verify", "zagier", str(n))
+        rep = json.loads(out)
+        assert code == 0 and rep["status"] == "pass"
+        assert sum(it["provenance"] == "oracle"
+                   for it in rep["items"]) == oracle_rows
+    code, out, _ = run(capsys, "verify", "bijection", "7")
+    assert code == 2 and json.loads(out)["status"] == "refused"
+
+
+@pytest.mark.parametrize("family", ["Bprime", "stirling"])
+def test_table_parity_refused_for_m_indexed_families(capsys, family):
+    code, out, err = run(capsys, "table", family, "4", "--parity", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _suite_items(capsys, *argv):
+    code, out, _ = run(capsys, *argv)
+    return code, json.loads(out)["items"]
+
+
+def test_verify_bijection_reports_wrong_inverse(capsys, monkeypatch):
+    monkeypatch.setattr(bijection, "psi_inverse", lambda t: InverseOutcome(
+        success=False, step=1, certificate={}))
+    code, items = _suite_items(capsys, "verify", "bijection", "3")
+    assert code == 1
+    failed = [it["check"] for it in items if not it["ok"]]
+    assert "roundtrip 1^1 2^1" in failed
+    assert "classify agreement 1^1 2^1" in failed
+
+
+def test_verify_bijection_reports_unswept_image(capsys, monkeypatch):
+    every_tree = structures.all_permuted_trees
+    monkeypatch.setattr(structures, "all_permuted_trees",
+                        lambda lam, budget: list(every_tree(lam, budget))[1:])
+    code, items = _suite_items(capsys, "verify", "bijection", "3")
+    assert code == 1
+    roundtrips = [it for it in items if it["check"].startswith("roundtrip")]
+    assert roundtrips and all(not it["ok"] for it in roundtrips)
+    assert {it["actual"] for it in roundtrips} <= {"None"}
+
+
+def test_internal_check_failure_is_exit_1(tmp_path, capsys, monkeypatch):
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(structures.serialize(psi(
+        deserialize((FIXTURES / "example21.json").read_text()))))
+    wrong = deserialize((FIXTURES / "selfloop4.json").read_text())
+    monkeypatch.setattr(bijection, "psi", lambda m: wrong)
+    code, out, err = run(capsys, "transform", "invert", str(tree_file))
+    assert code == 1
+    assert out == ""
+    assert err == "internal check failed: inverse self-check failed\n"
+
+
+# ---------------------------------------------------------------------------
+# every input file gives exit 0 or 2, never a traceback
+
+
+def _object_files(tmp_path):
+    """The fixtures plus a star thorn tree, a labeled tree and a tree with
+    no "n", keyed by name."""
+    files = {p.stem: p for p in FIXTURES.glob("*.json")}
+    ex1 = json.loads(files["ex1"].read_text())
+    star = {k: v for k, v in ex1.items() if k != "sigma"}
+    no_n = {k: v for k, v in ex1.items() if k != "n"}
+    labeled = structures.to_json_obj(psi_inverse(psi(deserialize(
+        files["example21"].read_text()))).labeled)
+    for name, obj in (("star", star), ("no_n", no_n), ("labeled", labeled)):
+        files[name] = tmp_path / (name + ".json")
+        files[name].write_text(json.dumps(obj))
+    return files
+
+
+WRONG_KIND = (
+    [(argv, name) for argv in (["transform", "invert"],
+                               ["transform", "classify"],
+                               ["transform", "contract", "--mark", "1"],
+                               ["export-dot", "--aux"])
+     for name in ("example21", "star", "labeled", "no_n")]
+    + [(["transform", "psi"], name)
+       for name in ("ex1", "selfloop4", "star", "labeled", "no_n")])
+
+
+@pytest.mark.parametrize("argv,name", WRONG_KIND)
+def test_wrong_object_kind_is_refused(tmp_path, capsys, argv, name):
+    path = str(_object_files(tmp_path)[name])
+    code, out, err = run(capsys, *argv, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if name != "no_n":
+        assert "expected a" in err and "found a" in err
+
+
+COMMANDS = ([["transform", d] for d in ("psi", "invert", "classify")]
+            + [["transform", "contract", "--mark", str(b)] for b in (0, 1, 2)]
+            + [["export-dot"], ["export-dot", "--aux"]])
+
+
+def _paths(obj, prefix=()):
+    """The key path of every value nested inside a JSON value."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _paths(v, prefix + (k,))
+
+
+def _get(obj, path):
+    for k in path:
+        obj = obj[k]
+    return obj
+
+
+@st.composite
+def mangled_fixtures(draw):
+    name = draw(st.sampled_from(sorted(p.name for p in
+                                       FIXTURES.glob("*.json"))))
+    obj = json.loads((FIXTURES / name).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(obj))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        if draw(st.booleans()):  # drop a key or a list entry
+            del _get(obj, path[:-1])[path[-1]]
+        else:  # overwrite it with a copy of a value found elsewhere
+            other = _get(obj, draw(st.sampled_from(paths)))
+            _get(obj, path[:-1])[path[-1]] = json.loads(json.dumps(other))
+    return json.dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mangled_fixtures())
+def test_mangled_input_exits_0_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "obj.json"
+        path.write_text(text)
+        for argv in COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv + [str(path)])
+            assert code in (0, 2), (argv, text, err.getvalue())
+            if code == 2:
+                assert err.getvalue().startswith("error: ")
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    root = FIXTURES.parent
+    text = (root / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()
+             if line.startswith("thorntrees ")]
+    assert len(lines) >= 10
+    monkeypatch.chdir(root)
+    for argv in lines:
+        code, out, _ = run(capsys, *argv[1:])
+        assert code == 0 and out, argv

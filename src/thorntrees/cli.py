@@ -76,7 +76,9 @@ def cmd_table(args):
     if fam == "Bprime":
         return _table_Bprime(args)
     if args.oracle:
-        table = oracle.table_for(fam, n, args.budget)
+        budget = (oracle.default_budget(fam) if args.budget is None
+                  else args.budget)
+        table = counting.table_for(fam, n, budget)
     elif fam == "B":
         if n > SOLVER_LIMIT:
             return _refuse_solver(n)

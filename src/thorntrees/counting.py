@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
 
+from . import oracle
 from .partition import partitions_of
 
 
@@ -110,9 +111,24 @@ class CountTable:
         }
 
 
-def table_for(family, n, provenance="formula"):
-    fn = {"A": count_A, "C": count_C, "D": count_D, "ST": count_ST}[family]
-    return CountTable(n, family, {lam: fn(lam) for lam in partitions_of(n)},
+def table_for(family, n, budget=None):
+    """CountTable of family A | C | D | ST from the closed forms or, given
+    an oracle ``budget``, of A | B | C | D | ST from brute-force sweeps
+    (refused when n exceeds the budget)."""
+    if budget is None:
+        provenance = "formula"
+        count = {"A": count_A, "C": count_C, "D": count_D,
+                 "ST": count_ST}.get(family)
+    else:
+        provenance = "oracle"
+        count = {"A": lambda lam: oracle.enumerate_A(lam, budget),
+                 "B": lambda lam: oracle.enumerate_B(lam, budget),
+                 "C": lambda lam: oracle.enumerate_CD(lam, budget)[0],
+                 "D": lambda lam: oracle.enumerate_CD(lam, budget)[1],
+                 "ST": lambda lam: oracle.enumerate_ST(lam, budget)}.get(family)
+    if count is None:
+        raise ValueError("unknown family %r" % family)
+    return CountTable(n, family, {lam: count(lam) for lam in partitions_of(n)},
                       provenance)
 
 

@@ -184,17 +184,3 @@ def default_budget(family):
     """The budget a family's oracle uses when none is given."""
     return DEFAULT_PAIR_BUDGET if family in ("C", "D") else DEFAULT_SN_BUDGET
 
-
-def table_for(family, n, budget=None):
-    """Oracle-backed CountTable for family A | B | C | D | ST."""
-    from .counting import CountTable
-
-    count = {"A": enumerate_A, "B": enumerate_B, "ST": enumerate_ST,
-             "C": lambda lam, b: enumerate_CD(lam, b)[0],
-             "D": lambda lam, b: enumerate_CD(lam, b)[1]}.get(family)
-    if count is None:
-        raise ValueError("unknown family %r" % family)
-    if budget is None:
-        budget = default_budget(family)
-    entries = {lam: count(lam, budget) for lam in partitions_of(n)}
-    return CountTable(n, family, entries, provenance="oracle")

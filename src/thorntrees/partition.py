@@ -72,14 +72,6 @@ class Partition:
         parts.append(j - 1)
         return Partition(sorted(parts, reverse=True))
 
-    def remove_part(self, j):
-        """Delete one part j entirely (length -1)."""
-        if j not in self.parts:
-            raise ValueError("no part %d in %r" % (j, self))
-        parts = list(self.parts)
-        parts.remove(j)
-        return Partition(parts)
-
     def exponential(self):
         """Exponential notation like '1^2 3^1 4^2' (empty partition: '()')."""
         if not self.parts:

@@ -1,9 +1,10 @@
 """Exact symmetric-function layer over the monomial and power-sum bases.
 
 A degree-n symmetric polynomial is a dense rational coefficient vector
-indexed by the partitions of n.  Transition matrices between the two
-bases are computed from first principles by multiplying out power sums
-in n variables (enough variables for degree n), then inverted exactly.
+indexed by the partitions of n.  The m_lam coefficient of p_nu counts the
+ways to drop the parts of nu into the parts of lam, filling each exactly
+(Macdonald, Symmetric Functions, I.6); m_to_p solves the triangular
+system these counts form.  ``evaluate`` checks both directions.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import lru_cache
 from itertools import permutations as iperm
 from math import factorial
 
+from .counting import count_A, count_C, count_D, solve_B
 from .partition import Partition, partitions_of
 
 
@@ -66,89 +68,44 @@ class SymPoly:
 
 
 @lru_cache(maxsize=None)
-def _p_in_m_matrix(degree):
-    """Rows: p_nu expanded over the monomial basis, as {nu: {lam: int}}.
-
-    Computed by literally multiplying the power sums in ``degree``
-    variables and reading off leading-exponent coefficients.
-    """
-    nvars = degree
-    out = {}
-    for nu in partitions_of(degree):
-        poly = {(0,) * nvars: 1}
-        for k in nu:
-            nxt = {}
-            for expo, c in poly.items():
-                for i in range(nvars):
-                    e = list(expo)
-                    e[i] += k
-                    e = tuple(e)
-                    nxt[e] = nxt.get(e, 0) + c
-            poly = nxt
-        row = {}
-        for lam in partitions_of(degree):
-            if lam.length <= nvars:
-                key = tuple(lam.parts) + (0,) * (nvars - lam.length)
-                row[lam] = poly.get(key, 0)
-        out[nu] = row
-    return out
-
-
-@lru_cache(maxsize=None)
-def _m_in_p_matrix(degree):
-    """Inverse transition: m_lam as rational combinations of p_nu."""
-    index = list(partitions_of(degree))
-    M = _p_in_m_matrix(degree)
-    k = len(index)
-    # augmented [M^T | I]: column ops solve for each m_lam in terms of p
-    A = [[Fraction(M[index[r]][index[c]]) for c in range(k)]
-         for r in range(k)]
-    inv = [[Fraction(1 if r == c else 0) for c in range(k)] for r in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if A[r][col] != 0), None)
-        if piv is None:
-            raise ArithmeticError("singular transition matrix at degree %d"
-                                  % degree)
-        A[col], A[piv] = A[piv], A[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = A[col][col]
-        A[col] = [x / d for x in A[col]]
-        inv[col] = [x / d for x in inv[col]]
-        for r in range(k):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    # A[r][c] is the m_{index[c]} coefficient of p_{index[r]}; expressing
-    # m_lam over the p basis needs rows of A^{-1}: the p_nu coefficient of
-    # m_lam is inv[lam][nu].
-    return {index[r]: {index[c]: inv[r][c] for c in range(k)}
-            for r in range(k)}
+def _fill(parts, room):
+    """Ways to drop each of ``parts`` into a slot of ``room`` (same total)
+    so that every slot is filled exactly: the m_room coefficient of p_parts.
+    The count is symmetric in the slots, so ``room`` is kept sorted."""
+    if not parts:
+        return 1
+    first, rest = parts[0], parts[1:]
+    total = 0
+    for i, r in enumerate(room):
+        if r == first:  # the slot is full: drop it
+            total += _fill(rest, room[:i] + room[i + 1:])
+        elif r > first:
+            left = sorted(room[:i] + (r - first,) + room[i + 1:], reverse=True)
+            total += _fill(rest, tuple(left))
+    return total
 
 
 def p_to_m(f):
     """Rewrite a power-sum-basis polynomial in the monomial basis."""
     if f.basis != "p":
         raise ValueError("expected power-sum basis input")
-    M = _p_in_m_matrix(f.degree)
-    out = {}
-    for nu, c in f.coeffs.items():
-        for lam, e in M[nu].items():
-            if e:
-                out[lam] = out.get(lam, Fraction(0)) + c * e
-    return SymPoly(f.degree, "m", out)
+    return SymPoly(f.degree, "m", {
+        lam: sum(c * _fill(nu.parts, lam.parts) for nu, c in f.coeffs.items())
+        for lam in partitions_of(f.degree)})
 
 
 def m_to_p(f):
-    """Rewrite a monomial-basis polynomial in the power-sum basis."""
+    """Rewrite a monomial-basis polynomial in the power-sum basis.
+
+    p_nu has m_lam terms only for lam coarser than nu, so in increasing
+    lexicographic order each m_lam equation meets one new unknown, p_lam,
+    with coefficient _fill(lam, lam) = Aut(lam)."""
     if f.basis != "m":
         raise ValueError("expected monomial basis input")
-    W = _m_in_p_matrix(f.degree)
     out = {}
-    for lam, c in f.coeffs.items():
-        for nu, e in W[lam].items():
-            if e:
-                out[nu] = out.get(nu, Fraction(0)) + c * e
+    for lam in reversed(list(partitions_of(f.degree))):
+        out[lam] = (f[lam] - sum(b * _fill(nu.parts, lam.parts)
+                                 for nu, b in out.items())) / lam.aut()
     return SymPoly(f.degree, "p", out)
 
 
@@ -189,9 +146,7 @@ def evaluate(f, xs):
             if lam.length > len(xs):
                 continue
             padded = tuple(lam.parts) + (0,) * (len(xs) - lam.length)
-            v = sum(
-                (lambda expo: _prodpow(xs, expo))(expo)
-                for expo in set(iperm(padded)))
+            v = sum(_prodpow(xs, expo) for expo in set(iperm(padded)))
         total += c * v
     return total
 
@@ -222,8 +177,6 @@ def _count_sum_m(n, values):
 
 def verify_C2A(n):
     """sum_mu C(mu) Aut(mu) m_mu = sum_nu A(nu) p_nu, coefficient-exact."""
-    from .counting import count_A, count_C
-
     lhs = _count_sum_m(n, count_C)
     rhs = p_to_m(SymPoly(n, "p", {nu: Fraction(count_A(nu))
                                   for nu in partitions_of(n)}))
@@ -234,8 +187,6 @@ def verify_C2A(n):
 
 def verify_D2B(n):
     """sum_lam D(lam) Aut(lam) m_lam = sum_pi B(pi) p_pi, coefficient-exact."""
-    from .counting import count_D, solve_B
-
     B = solve_B(n)
     lhs = _count_sum_m(n, count_D)
     rhs = p_to_m(SymPoly(n, "p", {pi: Fraction(B[pi])
@@ -253,8 +204,6 @@ def verify_reduction(n):
     and extracting p_mu coefficients reproduces the triangular-system
     equation for every mu of n+1.
     """
-    from .counting import count_A, count_C, count_D, solve_B
-
     d = n + 1
     ones = Partition([1] * d)
     lhs_m = _count_sum_m(d, count_C) - SymPoly(

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import pathlib
@@ -116,6 +117,30 @@ def test_verify_bijection(capsys):
     code, out, _ = run(capsys, "verify", "bijection", "4")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+
+
+# sha256 of the stdout of `verify identities n`, as printed when the p<->m
+# transitions were still built by multiplying out power sums and inverting
+# the matrix: the counting rewrite must keep every byte.
+IDENTITIES_STDOUT_SHA256 = {
+    1: "fd8cf814a466918d5e69691a70f0a269f2cde00e1a5a92e35cc404f08633f51f",
+    2: "d8b08139f1668155f011029b324b5e5418c6069c00f9cd8cb854d0160fc821aa",
+    3: "a82008956e3749dff0b5e12317bcae9a7b3b61e9b02a0f8177a1062c9eaf7db8",
+    4: "6a0c3f6be16aa44e208ce8f2753ed5273ba2caea6b2e4a12f5de4672c59537e8",
+    5: "9caf1cf6f875a8899430f6244566157f57a1b5519807e2969106c96fab8f8fd4",
+    6: "4b72c8807b4bd26fcc2387398e5afdf46f59a59bfc1b4495415bcaed4f74c13d",
+    7: "a681842c98b18e5297c4d2406c2c27b0cb28f53901257a98428e5fe2bb1dd442",
+    8: "08a62e3860c428c7dd20c00b5bd8180b550bf3f22195cb42af1d095bf61f3110",
+    9: "81810f90a6bfce19b2ae06f6d30b222cbedf248b1eda36f1cf692c4e745a286c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(IDENTITIES_STDOUT_SHA256))
+def test_verify_identities_stdout_pinned(capsys, n):
+    code, out, _ = run(capsys, "verify", "identities", str(n))
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == IDENTITIES_STDOUT_SHA256[n]
 
 
 @pytest.mark.parametrize("suite", ["bijection", "identities", "proportions",

@@ -143,6 +143,18 @@ def test_table_export():
     assert obj["rows"][0] == ["4^1", "6"]
 
 
+def test_table_for_oracle_and_unknown_families():
+    from thorntrees.counting import table_for
+
+    t = table_for("D", 5, 6)
+    assert t.provenance == "oracle"
+    assert t.entries == table_for("D", 5).entries
+    with pytest.raises(ValueError):
+        table_for("B", 4)  # B has no closed form here: solve_B
+    with pytest.raises(ValueError):
+        table_for("X", 4, 8)
+
+
 def test_inexact_division_guard():
     with pytest.raises(InexactDivisionError):
         from thorntrees.counting import _exact_div

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -30,6 +31,24 @@ def test_p_to_m_small():
     # p_2 p_1 = m_3 + m_{2,1}
     h = p_to_m(SymPoly(3, "p", {P(2, 1): 1}))
     assert h == SymPoly(3, "m", {P(3): 1, P(2, 1): 1})
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_p_to_m_closed_forms(n):
+    # p_1^n = sum n!/prod(lam_i!) m_lam ; p_n = m_(n) ; [m_nu] p_nu = Aut(nu)
+    ones = p_to_m(SymPoly(n, "p", {Partition([1] * n): 1}))
+    assert p_to_m(SymPoly(n, "p", {P(n): 1})) == SymPoly(n, "m", {P(n): 1})
+    for lam in partitions_of(n):
+        assert ones[lam] == factorial(n) // prod(factorial(k) for k in lam)
+        assert p_to_m(SymPoly(n, "p", {lam: 1}))[lam] == lam.aut()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_p_to_m_agrees_with_evaluation(n):
+    xs = [Fraction((-1) ** k * (k + 2), k + 1) for k in range(n)]
+    for nu in partitions_of(n):
+        f = SymPoly(n, "p", {nu: 1})
+        assert evaluate(p_to_m(f), xs) == evaluate(f, xs)
 
 
 def test_m_to_p_small():
@@ -103,19 +122,19 @@ def test_sympoly_arithmetic_and_validation():
         a + SymPoly(3, "m", {P(3): 1})
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_identity_C2A(n):
     rep = verify_C2A(n)
     assert rep["ok"], rep["diffs"]
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_identity_D2B(n):
     rep = verify_D2B(n)
     assert rep["ok"], rep["diffs"]
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_identity_reduction(n):
     rep = verify_reduction(n)
     assert rep["ok"], rep["diffs"]

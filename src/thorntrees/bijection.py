@@ -22,6 +22,7 @@ from .structures import (
     LabeledThornTree,
     PermutedThornTree,
     StarThornTree,
+    _trusted,
     all_permuted_trees,
 )
 
@@ -113,60 +114,57 @@ def psi_inverse(t):
 
     Labels 1..n are assigned one per step; the element carrying the
     current image of beta is found by the left-to-right-maximum rule read
-    clockwise around the black vertex.
+    clockwise around the black vertex, in time linear in n.  A recovered
+    map is checked by running Psi forward on it (AssertionError if not).
+    """
+    out = _recover(t)
+    if out.success and not (out.map.is_star and psi(out.map) == t):
+        raise AssertionError("inverse self-check failed")
+    return out
+
+
+def _recover(t):
+    """psi_inverse without its self-check, for callers that check the map.
+
+    A black element's id is its position in the clockwise readings laid
+    end to end (per vertex: thorns in reverse storage order, edge last).
     """
     tree = t.tree
-    n = tree.n
+    n, blacks = tree.n, tree.blacks
     if n == 0:
         raise ValueError("the empty tree has no preimage: maps need n >= 1")
-    sigma = t.sigma_map()
-    sigma_inv = t.sigma_inv()
+    starts, stops, vertex = [], [], []
+    for b, tc in enumerate(blacks):
+        starts.append(len(vertex))
+        vertex += [b] * (tc + 1)
+        stops.append(len(vertex))
+    elem = [stops[v] - 1 if v is not None else None for v in tree.white]
+    for w, (b, ti) in t.sigma:
+        elem[w] = stops[b] - 2 - ti
+    slot = [0] * n
+    for s, e in enumerate(elem):
+        slot[e] = s
 
-    white_labels = [None] * n
-    label_of = {}
-    elem_of_label = [None] * (n + 1)
-
-    def black_elem(slot):
-        v = tree.white[slot]
-        if v is not None:
-            return ("e", v)
-        b, ti = sigma[slot]
-        return ("t", b, ti)
-
-    def white_partner(el):
-        if el[0] == "e":
-            return tree.edge_slot(el[1])
-        return sigma_inv[(el[1], el[2])]
-
-    def assign(value, slot):
-        white_labels[slot] = value
-        el = black_elem(slot)
-        label_of[el] = value
-        elem_of_label[value] = el
-
-    assign(1, n - 1)
-
+    label = [0] * n  # per black element id; 0 while unlabeled
+    white_labels = [0] * n
+    free = list(starts)  # per vertex: first unlabeled id, if any
+    e = elem[n - 1]
+    label[e] = white_labels[n - 1] = 1
     for i in range(1, n):
-        el = elem_of_label[i]
-        b = el[1]
-        tc = tree.blacks[b]
-        # clockwise around b: thorns in reverse storage order, edge last
-        clockwise = [("t", b, tc - 1 - r) for r in range(tc)] + [("e", b)]
-        pos = clockwise.index(el)
-        if any(e not in label_of for e in clockwise[:pos]):
-            # i is not a left-to-right maximum
-            beta_el = clockwise[pos - 1]
+        b = vertex[e]  # e carries label i
+        f, stop = free[b], stops[b]
+        while f < stop and label[f]:
+            f += 1
+        free[b] = f
+        if f < e:
+            beta_el = e - 1  # i is not a left-to-right maximum
+        elif f == stop:
+            beta_el = stop - 1  # i is the block maximum: the edge
         else:
-            q = next((r for r in range(len(clockwise))
-                      if clockwise[r] not in label_of), None)
-            if q is None:
-                beta_el = ("e", b)  # i is the block maximum
-            else:
-                # q >= 1: the element before the next left-to-right maximum
-                beta_el = clockwise[q - 1]
-        w = white_partner(beta_el)
+            beta_el = f - 1  # the element before the next left-to-right max
+        w = slot[beta_el]
         target = w - 1 if w > 0 else n - 1  # next slot counter-clockwise
-        if white_labels[target] is not None:
+        if white_labels[target]:
             collided = white_labels[target]
             if collided != 1:
                 raise AssertionError("collision label must be 1, got %d"
@@ -175,35 +173,28 @@ def psi_inverse(t):
                 success=False, step=i,
                 certificate={"collision_label": collided,
                              "collision_slot": target,
-                             "beta_element": list(beta_el)})
-        assign(i + 1, target)
+                             "beta_element": ["e", b] if beta_el == stop - 1
+                             else ["t", b, stop - 2 - beta_el]})
+        e = elem[target]
+        label[e] = white_labels[target] = i + 1
 
-    black_labels = tuple(
-        tuple(label_of[("t", b, ti)] for ti in range(tree.blacks[b]))
-        for b in range(tree.p))
-    labeled = LabeledThornTree(tree, tuple(white_labels), black_labels)
-
+    readings = [label[starts[b]:stops[b]] for b in range(tree.p)]
+    labeled = LabeledThornTree(tree, tuple(white_labels),
+                               tuple(tuple(r[-2::-1]) for r in readings))
     # recover beta: split each clockwise reading at its left-to-right maxima
     images = [0] * n
-    for b in range(tree.p):
-        reading = labeled.clockwise_reading(b)
-        segments = []
-        for lab in reading:
-            if not segments or lab > segments[-1][0]:
-                segments.append([lab])
+    for reading in readings:
+        head = last = reading[0]
+        for lab in reading[1:]:
+            if lab > head:  # closes the cycle (head .. last)
+                images[head - 1], head = last, lab
             else:
-                segments[-1].append(lab)
-        for seg in segments:
-            for prev, cur in zip(seg, seg[1:]):
-                images[cur - 1] = prev
-            images[seg[0] - 1] = seg[-1]
-    beta = Permutation(images)
-    blocks = [set(labs) | {labeled.edge_label(b)}
-              for b, labs in enumerate(black_labels)]
-    pi = SetPartition(n, blocks)
-    m = BlackPartitionedStarMap(beta, pi)
-    if not (m.is_star and psi(m) == t):
-        raise AssertionError("inverse self-check failed")
+                images[lab - 1] = last
+            last = lab
+        images[head - 1] = last
+    # each block is a union of beta's cycles by construction
+    m = _trusted(BlackPartitionedStarMap, beta=Permutation(images),
+                 pi=SetPartition(n, readings))
     return InverseOutcome(success=True, map=m, labeled=labeled)
 
 

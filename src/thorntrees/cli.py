@@ -179,7 +179,7 @@ def _suite_bijection(n, budget, report):
         failures = []  # (map, recovered map) pairs that disagree
         agree = True
         for t in structures.all_permuted_trees(lam, budget):
-            out = bijection.psi_inverse(t)
+            out = bijection._recover(t)
             agree &= (bijection.classify(t).kind == "image") == out.success
             m = preimage.pop(t, None)
             if m is not None and out.map != m:

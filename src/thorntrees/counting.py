@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, prod
 
 from . import oracle
@@ -182,8 +183,15 @@ def count_Bprime(n, m, table=None):
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     if table is None:
-        table = solve_B(n)
+        return _bprime_row(n)[m]
     return sum(v for lam, v in table.entries.items() if lam.length == m)
+
+
+@cache
+def _bprime_row(n):
+    """(0, B'(n,1), ..., B'(n,n)) from one solve of B(n), cached per n."""
+    table = solve_B(n)
+    return (0,) + tuple(count_Bprime(n, m, table) for m in range(1, n + 1))
 
 
 def verify_zagier(n):

@@ -92,6 +92,13 @@ def _in_place(images, blocks, i=0):
         yield from _in_place(images, blocks, i + 1)
 
 
+def _each_beta(pi):
+    """Run through S_pi, yielding one 0-based image list rewritten in place."""
+    images = list(range(pi.n))
+    for _ in _in_place(images, [[x - 1 for x in b] for b in pi.blocks]):
+        yield images
+
+
 @cache
 def _pair_sweep(n):
     """(C, D) by the type of pi, from one pass over every couple

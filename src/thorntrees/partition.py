@@ -6,7 +6,7 @@ Set partitions store their blocks sorted by minimum element.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations as iperm
+from itertools import combinations
 from math import factorial, prod
 
 
@@ -195,19 +195,8 @@ def permutations_in(pi):
     Equivalently the direct product of the symmetric groups of the blocks;
     there are prod |block|! of them.
     """
+    from .oracle import _each_beta
     from .perm import Permutation
 
-    n = pi.n
-
-    def gen(block_idx, images):
-        if block_idx == len(pi.blocks):
-            yield Permutation(images)
-            return
-        block = pi.blocks[block_idx]
-        for target in iperm(block):
-            nxt = list(images)
-            for src, dst in zip(block, target):
-                nxt[src - 1] = dst
-            yield from gen(block_idx + 1, nxt)
-
-    yield from gen(0, [0] * n)
+    for images in _each_beta(pi):
+        yield Permutation(x + 1 for x in images)

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations as iperm
 
-from .oracle import DEFAULT_PAIR_BUDGET, BudgetExceeded
-from .partition import Partition, SetPartition, permutations_in, set_partitions_of_type
+from .oracle import DEFAULT_PAIR_BUDGET, _check, _each_beta, _long_complement
+from .partition import Partition, SetPartition, set_partitions_of_type
 from .perm import Permutation, canonical_long_cycle
 
 
@@ -65,8 +66,12 @@ class StarThornTree:
         return Partition(sorted((self.degree(b) for b in range(self.p)),
                                 reverse=True))
 
+    @cached_property
+    def _edge_slots(self):
+        return {b: s for s, b in enumerate(self.white) if b is not None}
+
     def edge_slot(self, b):
-        return self.white.index(b)
+        return self._edge_slots[b]
 
     def white_thorn_slots(self):
         return tuple(s for s, v in enumerate(self.white) if v is None)
@@ -201,6 +206,14 @@ class LabeledThornTree:
 # Generation
 
 
+def _trusted(cls, **fields):
+    """An instance of ``cls`` built valid by construction: no validation."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def all_star_thorn_trees(mu):
     """Every star thorn tree of type mu, exactly once.
 
@@ -210,44 +223,35 @@ def all_star_thorn_trees(mu):
     n, p = mu.size, mu.length
     degree_orders = sorted(set(iperm(mu.parts)))
     for positions in combinations(range(n), p):
-        posset = set(positions)
+        black_at = {s: b for b, s in enumerate(positions)}
+        white = tuple(black_at.get(s) for s in range(n))
         for degs in degree_orders:
-            white = []
-            b = 0
-            for s in range(n):
-                if s in posset:
-                    white.append(b)
-                    b += 1
-                else:
-                    white.append(None)
-            yield StarThornTree(tuple(white), tuple(d - 1 for d in degs))
+            yield StarThornTree(white, tuple(d - 1 for d in degs))
 
 
 def all_permuted_trees(lam, budget=DEFAULT_PAIR_BUDGET):
     """Every permuted star thorn tree of type lam, exactly once."""
-    n = lam.size
-    if n > budget:
-        raise BudgetExceeded(
-            "permuted-tree enumeration refused: n=%d exceeds budget %d"
-            % (n, budget))
+    _check(lam.size, budget, "permuted-tree", long_cycle=False)
     for tree in all_star_thorn_trees(lam):
-        wslots = tree.white_thorn_slots()
-        coords = tree.black_thorn_coords()
-        for image in iperm(coords):
-            yield PermutedThornTree(tree, tuple(zip(wslots, image)))
+        wslots = tree.white_thorn_slots()  # increasing: sigma is canonical
+        for image in iperm(tree.black_thorn_coords()):
+            yield _trusted(PermutedThornTree, tree=tree,
+                           sigma=tuple(zip(wslots, image)))
 
 
 def all_star_maps(lam, budget=DEFAULT_PAIR_BUDGET):
-    """Every black-partitioned star map of type lam (alpha a long cycle)."""
+    """Every black-partitioned star map of type lam (alpha a long cycle):
+    the couples (pi, beta in S_pi) are walked in place, as in the oracle's
+    pair sweep, and a map is built only when alpha is long.  Needs n >= 1.
+    """
     n = lam.size
-    if n > budget:
-        raise BudgetExceeded(
-            "map enumeration refused: n=%d exceeds budget %d" % (n, budget))
-    c = canonical_long_cycle(n)
+    _check(n, budget, "map")
     for pi in set_partitions_of_type(lam):
-        for beta in permutations_in(pi):
-            if (c * beta.inverse()).is_long_cycle():
-                yield BlackPartitionedStarMap(beta, pi)
+        for images in _each_beta(pi):
+            if _long_complement(images):
+                beta = _trusted(Permutation, n=n,
+                                images=tuple(x + 1 for x in images))
+                yield _trusted(BlackPartitionedStarMap, beta=beta, pi=pi)
 
 
 # ---------------------------------------------------------------------------

@@ -233,3 +233,56 @@ def test_empty_tree():
     assert classify(t).kind == "no_p1"
     with pytest.raises(ValueError):
         psi_inverse(t)
+
+
+# sha256 over the sorted lines "<serialized tree> <psi_inverse outcome>"
+# for every permuted tree of size n, as recovered when each step still
+# rebuilt the clockwise reading: the linear-time rewrite must reproduce
+# every recovered map and every failure certificate.
+INVERSE_OUTCOMES_SHA256 = {
+    1: "662c70d3f6968f1014b5f27be463fb5864c3ec37914c70b4bbcdb3c663217c0d",
+    2: "521662adbc4fca12486fde53878bc2287e5c90d37f385d9beb165a5ade3c4dbc",
+    3: "f660de2bbe0d6ead9aacbc61cc64a163f9fdbd5d6ba24d37fa3819f27cb7b1b4",
+    4: "a3e5ebc428c945dc22bf2e0d887310f56d51a6acfec63c77dbb197bd8fda3f40",
+    5: "41b0619275549b2424cf3cd2336842c139b92bba9fd5f1050f69ad41ba7b8663",
+}
+
+
+@pytest.mark.parametrize("n", sorted(INVERSE_OUTCOMES_SHA256))
+def test_psi_inverse_outcomes_pinned(n):
+    import hashlib
+    import json
+
+    lines = sorted(
+        serialize(t) + " " + json.dumps(psi_inverse(t).to_json_obj(),
+                                        sort_keys=True, separators=(",", ":"))
+        for lam in partitions_of(n) for t in all_permuted_trees(lam))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == INVERSE_OUTCOMES_SHA256[n]
+
+
+def test_large_roundtrip():
+    """n = 1000, beta of type 100^10, each block the union of two cycles."""
+    import random
+
+    n, size = 1000, 100
+    rng = random.Random(2)
+    while True:
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        cycles = [order[i:i + size] for i in range(0, n, size)]
+        beta_inv = [0] * (n + 1)
+        for c in cycles:
+            for a, b in zip(c, c[1:] + c[:1]):
+                beta_inv[b] = a
+        k, steps = beta_inv[1] % n + 1, 1  # alpha(k) = beta^{-1}(k) + 1
+        while k != 1:
+            k, steps = beta_inv[k] % n + 1, steps + 1
+        if steps == n:
+            break
+    m = BlackPartitionedStarMap(
+        Permutation.from_cycles(n, cycles),
+        SetPartition(n, [cycles[i] + cycles[i + 1] for i in range(0, 10, 2)]))
+    assert m.is_star and m.beta.cycle_type() == Partition([size] * 10)
+    out = psi_inverse(psi(m))
+    assert out.success and out.map == m

@@ -143,6 +143,76 @@ def test_verify_identities_stdout_pinned(capsys, n):
     assert digest == IDENTITIES_STDOUT_SHA256[n]
 
 
+# sha256 of the stdout of the bijection and proportions suites, as printed
+# when their sweeps still re-validated every enumerated object and ran
+# the inverse self-check on every tree: the sweeps on trusted objects
+# must keep every byte.
+SWEEP_STDOUT_SHA256 = {
+    "verify bijection 1":
+        "e4e33cc327db41db9ce9d8426b93665f9ede7c741ad29a1ade825d03ce1f7388",
+    "verify bijection 2":
+        "3ec7c474dfb0ae5f5ece5c5aa7c34dc9570df4608ae1408fbd633d4af6016ec8",
+    "verify bijection 3":
+        "ec5c900666f46c834a08431cdc88d5a642dd48d45458e2e3e824a6b3ea2a27af",
+    "verify bijection 4":
+        "8975251e7984f311f0557faf7574fb2e6b89bbbda0adfe43d57ca2214b749bca",
+    "verify bijection 5":
+        "0896362dd52e090b7f13dbdf2d98dfd7f93723e488343168140ace4d89eb48f7",
+    "verify bijection 6":
+        "c10685d9f4d2c1faadae6db9487add44e2d9aad5f464fb87691b81d7d9ba47d0",
+    "verify bijection 6 --budget 6":
+        "c10685d9f4d2c1faadae6db9487add44e2d9aad5f464fb87691b81d7d9ba47d0",
+    "verify proportions 1":
+        "5bb1cc2a1c6fefe1675ad388108a084b8e279ee7e915d27bfa28d582a94722dc",
+    "verify proportions 2":
+        "596cd8af2e357d5d447b142d6bbd947f7f5779364e932cba4b90858efabacdad",
+    "verify proportions 3":
+        "c186ca94d2733c757a43198efc30e316c26ec489942991eeeeb275fd678621a5",
+    "verify proportions 4":
+        "8fdc87c6c70320b59e4100fbfc0fb62aa91e56f3daae989714cb079c7b22d75a",
+    "verify proportions 5":
+        "85b277543d93cc80e9bd0640c9e87bbf6eefcd7a76533b7e96af9a8210d02369",
+    "verify proportions 6":
+        "d819dd26ed07b432a9531a9a5387e5b85c2c455b3800cb9f58b5208003f0d486",
+    "verify proportions 7 --budget 7":
+        "c2d0905c4d88fdeaac548bf9771c0c3c2770441c4f5af9569d7cc14cf96ad036",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SWEEP_STDOUT_SHA256))
+def test_verify_sweep_stdout_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SWEEP_STDOUT_SHA256[argv]
+
+
+# (exit code, sha256 of stdout) of `transform invert|classify` on each
+# fixture, captured alongside SWEEP_STDOUT_SHA256; example21 is a map, so
+# both directions refuse it with an empty stdout.
+TRANSFORM_STDOUT_SHA256 = {
+    ("invert", "ex1.json"): (
+        0, "4f27d8a41bec62bbed4c42f82568087f5b3b2e6dac8a09b2a459877d3737342d"),
+    ("invert", "example21.json"): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("invert", "selfloop4.json"): (
+        0, "1454c65fe0b35de2f8b918a31ad9bbd280b675cbebd52fbcb492f84edf755aa7"),
+    ("classify", "ex1.json"): (
+        0, "adc1f0e4b08f31d62debcda025a61d17d7010aa582b75b57a43f4e41bddedd2b"),
+    ("classify", "example21.json"): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("classify", "selfloop4.json"): (
+        0, "86dcce3bcfe29881c388544496d38791d2a76a496d650a40ac1051e123951842"),
+}
+
+
+@pytest.mark.parametrize("direction,name", sorted(TRANSFORM_STDOUT_SHA256))
+def test_transform_stdout_pinned(capsys, direction, name):
+    code, out, _ = run(capsys, "transform", direction, str(FIXTURES / name))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) \
+        == TRANSFORM_STDOUT_SHA256[direction, name]
+
+
 @pytest.mark.parametrize("suite", ["bijection", "identities", "proportions",
                                    "reformulation", "zagier"])
 def test_verify_n_0_is_a_usage_error(capsys, suite):
@@ -255,7 +325,7 @@ def _suite_items(capsys, *argv):
 
 
 def test_verify_bijection_reports_wrong_inverse(capsys, monkeypatch):
-    monkeypatch.setattr(bijection, "psi_inverse", lambda t: InverseOutcome(
+    monkeypatch.setattr(bijection, "_recover", lambda t: InverseOutcome(
         success=False, step=1, certificate={}))
     code, items = _suite_items(capsys, "verify", "bijection", "3")
     assert code == 1

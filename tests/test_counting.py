@@ -2,7 +2,7 @@ from math import factorial
 
 import pytest
 
-from thorntrees import oracle
+from thorntrees import counting, oracle
 from thorntrees.counting import (
     InexactDivisionError,
     check_lift_recurrence,
@@ -105,6 +105,18 @@ def test_count_Bprime():
     assert count_Bprime(4, 2) == 5
     with pytest.raises(ValueError):
         count_Bprime(3, 4)
+
+
+def test_count_Bprime_solves_B_once_per_n(monkeypatch):
+    solves = []
+    monkeypatch.setattr(counting, "solve_B",
+                        lambda n: solves.append(n) or solve_B(n))
+    counting._bprime_row.cache_clear()
+    row = [count_Bprime(9, m) for m in range(1, 10)]
+    assert solves == [9]
+    table = solve_B(9)
+    assert row == [count_Bprime(9, m, table) for m in range(1, 10)]
+    assert counting._bprime_row(9) == (0, *row)
 
 
 def test_verify_zagier():

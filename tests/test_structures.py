@@ -1,6 +1,6 @@
 import pytest
 
-from thorntrees.counting import count_ST
+from thorntrees.counting import count_D, count_ST
 from thorntrees.oracle import BudgetExceeded
 from thorntrees.partition import Partition, SetPartition, partitions_of
 from thorntrees.perm import Permutation
@@ -113,13 +113,24 @@ def test_all_permuted_trees_count(n):
         p = lam.length
         expected = count_ST(lam) * factorial(n - p)
         assert len(trees) == len(set(trees)) == expected
+        # the enumerator skips validation; every tree must still pass it
+        for t in trees:
+            rebuilt = PermutedThornTree(
+                StarThornTree(t.tree.white, t.tree.blacks), t.sigma)
+            assert rebuilt == t and hash(rebuilt) == hash(t)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_all_star_maps_are_stars(n):
     for lam in partitions_of(n):
         maps = list(all_star_maps(lam))
+        assert len(maps) == len(set(maps)) == count_D(lam)
         assert all(m.is_star and m.type_of() == lam for m in maps)
+        # the enumerator skips validation; every map must still pass it
+        for m in maps:
+            rebuilt = BlackPartitionedStarMap(Permutation(m.beta.images),
+                                              SetPartition(n, m.pi.blocks))
+            assert rebuilt == m and hash(rebuilt) == hash(m)
 
 
 def test_generation_budget():

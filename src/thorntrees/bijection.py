@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .oracle import DEFAULT_PAIR_BUDGET
 from .partition import SetPartition
@@ -24,6 +25,7 @@ from .structures import (
     StarThornTree,
     _trusted,
     all_permuted_trees,
+    to_json_obj,
 )
 
 
@@ -37,46 +39,40 @@ def psi_label(m):
     White slots are labeled right-to-left with the alpha-orbit starting at
     1; one edge per block sits at the label beta(max of block); black
     thorns are labeled counter-clockwise following the block's cycles in
-    decreasing order of their maxima.
+    decreasing order of their maxima.  One pass over beta: slot j carries
+    alpha^{-(j+1)}(1), read off alpha^{-1}(k) = beta(k-1) (beta(n) at k = 1).
     """
-    if not m.is_star:
-        raise ValueError("the white-slot labeling needs alpha to be a long "
-                         "cycle; got alpha of type %r" % (m.alpha.cycle_type(),))
     n = m.n
-    alpha = m.alpha
-    seq = [1]
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    images = m.beta.images
+    label_at = []
+    k = 1
     for _ in range(n - 1):
-        seq.append(alpha(seq[-1]))
-    # storage slot j (left to right) carries label seq[n-1-j]
-    label_at = [seq[n - 1 - j] for j in range(n)]
-    slot_of = {lab: j for j, lab in enumerate(label_at)}
+        k = images[k - 2]  # images[-1] = beta(n) when k = 1
+        if k == 1:
+            raise ValueError("the white-slot labeling needs alpha to be a "
+                             "long cycle; got alpha of type %r"
+                             % (m.alpha.cycle_type(),))
+        label_at.append(k)
+    label_at.append(1)
 
-    edge_label_to_block = {}
-    for block in m.pi.blocks:
-        edge_label_to_block[m.beta(max(block))] = block
-
+    # a block's first cycle ends at its maximum, so beta(max) starts it
+    block_at_edge = {cycles[0][0]: cycles for cycles in m.cycles_by_block()}
     white = []
-    blocks_in_root_order = []
-    for j in range(n):
-        lab = label_at[j]
-        if lab in edge_label_to_block:
-            white.append(len(blocks_in_root_order))
-            blocks_in_root_order.append(edge_label_to_block[lab])
-        else:
-            white.append(None)
-
-    all_cycles = m.beta.cycles()  # max last, decreasing maxima
     black_labels = []
-    for block in blocks_in_root_order:
-        cycles = [c for c in all_cycles if c[0] in block]
-        thorns = list(cycles[0][1:])
-        for c in cycles[1:]:
-            thorns.extend(c)
-        black_labels.append(tuple(thorns))
+    for lab in label_at:
+        cycles = block_at_edge.get(lab)
+        if cycles is None:
+            white.append(None)
+        else:
+            white.append(len(black_labels))
+            black_labels.append(tuple(chain(cycles[0][1:], *cycles[1:])))
 
-    tree = StarThornTree(tuple(white),
-                         tuple(len(labs) for labs in black_labels))
-    return LabeledThornTree(tree, tuple(label_at), tuple(black_labels))
+    tree = _trusted(StarThornTree, white=tuple(white),
+                    blacks=tuple(len(labs) for labs in black_labels))
+    return _trusted(LabeledThornTree, tree=tree, white_labels=tuple(label_at),
+                    black_labels=tuple(black_labels))
 
 
 def psi(m):
@@ -100,8 +96,6 @@ class InverseOutcome:
     certificate: dict = None
 
     def to_json_obj(self):
-        from .structures import to_json_obj
-
         if self.success:
             return {"labeled": to_json_obj(self.labeled),
                     "map": to_json_obj(self.map), "status": "success"}

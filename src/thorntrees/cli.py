@@ -121,8 +121,7 @@ def _table_Bprime(args):
     else:
         if n > SOLVER_LIMIT:
             return _refuse_solver(n)
-        table = counting.solve_B(n)
-        values = [counting.count_Bprime(n, m, table) for m in range(1, n + 1)]
+        values = counting._bprime_row(n)[1:]
         provenance = "solver"
     if args.format == "json":
         print(json.dumps(

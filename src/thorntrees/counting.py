@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from . import oracle
 from .partition import partitions_of
@@ -67,8 +67,7 @@ def count_ST(mu):
     brute-force enumerator for every mu of size <= 8 (see tests).
     """
     n, p = mu.size, mu.length
-    return _exact_div(comb(n, p) * factorial(p),
-                      prod(factorial(m) for m in mu.multiplicities().values()))
+    return _exact_div(comb(n, p) * factorial(p), mu.aut())
 
 
 def count_C(mu):
@@ -178,20 +177,20 @@ def solve_B(n):
     return CountTable(n, "B", B, provenance="solver")
 
 
-def count_Bprime(n, m, table=None):
+def count_Bprime(n, m):
     """B'(n,m) = sum of B(lam) over lam of n with m parts."""
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    if table is None:
-        return _bprime_row(n)[m]
-    return sum(v for lam, v in table.entries.items() if lam.length == m)
+    return _bprime_row(n)[m]
 
 
 @cache
 def _bprime_row(n):
     """(0, B'(n,1), ..., B'(n,n)) from one solve of B(n), cached per n."""
-    table = solve_B(n)
-    return (0,) + tuple(count_Bprime(n, m, table) for m in range(1, n + 1))
+    row = [0] * (n + 1)
+    for lam, v in solve_B(n).entries.items():
+        row[lam.length] += v
+    return tuple(row)
 
 
 def verify_zagier(n):
@@ -200,11 +199,11 @@ def verify_zagier(n):
     Off-parity m must give B'(n,m) = 0.  Returns a list of per-m dicts with
     an 'ok' flag.
     """
-    table = solve_B(n)
+    row = _bprime_row(n)
     srow = stirling1_row(n + 1)
     out = []
     for m in range(1, n + 1):
-        bp = count_Bprime(n, m, table)
+        bp = row[m]
         if m % 2 == n % 2:
             ok = n * (n + 1) // 2 * bp == srow[m]
             expected = srow[m]

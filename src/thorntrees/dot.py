@@ -79,10 +79,10 @@ def map_to_dot(m):
     """White vertex plus one node per block, edge labels grouped by cycle."""
     lines = ["graph black_partitioned_map {",
              '  w [shape=circle, label="W"];']
-    for i, block in enumerate(m.pi.blocks):
+    for i, (block, cycles) in enumerate(zip(m.pi.blocks,
+                                            m.cycles_by_block())):
         lines.append('  blk%d [shape=box, label="{%s}"];'
                      % (i, ",".join(map(str, block))))
-        cycles = [c for c in m.beta.cycles() if c[0] in block]
         for c in cycles:
             lines.append('  w -- blk%d [label="(%s)"];'
                          % (i, " ".join(map(str, c))))

@@ -142,12 +142,6 @@ class SetPartition:
     def type_of(self):
         return Partition(sorted((len(b) for b in self.blocks), reverse=True))
 
-    def block_of(self, x):
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise ValueError("element %d not in {1..%d}" % (x, self.n))
-
     def __eq__(self, other):
         return (isinstance(other, SetPartition)
                 and self.n == other.n and self.blocks == other.blocks)

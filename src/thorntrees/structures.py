@@ -130,18 +130,30 @@ class BlackPartitionedStarMap:
     def __post_init__(self):
         if self.beta.n != self.pi.n:
             raise ValueError("size mismatch between beta and pi")
-        for cyc in self.beta.cycles():
-            block = self.pi.block_of(cyc[0])
-            bad = [x for x in cyc if x not in block]
-            if bad:
-                raise ValueError(
-                    "pi is not coarser than the orbits of beta: cycle %r "
-                    "is split across blocks (element %d outside block %r)"
-                    % (list(cyc), bad[0], list(block)))
+        self.cycles_by_block()
 
     @property
     def n(self):
         return self.beta.n
+
+    def cycles_by_block(self):
+        """beta's cycles grouped by block: one list per block, in
+        ``pi.blocks`` order, of cycles by decreasing maximum (as
+        ``Permutation.cycles`` writes them).  ValueError if pi splits one.
+        """
+        blocks = self.pi.blocks
+        block_at = {x: i for i, block in enumerate(blocks) for x in block}
+        grouped = [[] for _ in blocks]
+        for cyc in self.beta.cycles():
+            i = block_at[cyc[0]]
+            for x in cyc:
+                if block_at[x] != i:
+                    raise ValueError(
+                        "pi is not coarser than the orbits of beta: cycle %r "
+                        "is split across blocks (element %d outside block %r)"
+                        % (list(cyc), x, list(blocks[i])))
+            grouped[i].append(cyc)
+        return grouped
 
     @property
     def alpha(self):
@@ -199,7 +211,7 @@ class LabeledThornTree:
                 pos_of[lab] = (b, t)
         sigma = tuple((s, pos_of[self.white_labels[s]])
                       for s in self.tree.white_thorn_slots())
-        return PermutedThornTree(self.tree, sigma)
+        return _trusted(PermutedThornTree, tree=self.tree, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

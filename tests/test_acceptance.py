@@ -71,7 +71,8 @@ def test_criterion_1_zagier(capsys):
     for n in range(1, 21):
         table = solve_B(n)
         for m in range(1, n + 1):
-            b = count_Bprime(n, m, table)
+            b = sum(v for lam, v in table.entries.items() if lam.length == m)
+            ok = ok and count_Bprime(n, m) == b
             if m % 2 == n % 2:
                 ok = ok and n * (n + 1) // 2 * b == stirling1_unsigned(
                     n + 1, m)

@@ -14,16 +14,19 @@ from thorntrees.bijection import (
     psi_label,
 )
 from thorntrees.counting import count_D
+from thorntrees.dot import to_dot
 from thorntrees.partition import Partition, SetPartition, partitions_of
 from thorntrees.perm import Permutation
 from thorntrees.structures import (
     BlackPartitionedStarMap,
+    LabeledThornTree,
     PermutedThornTree,
     StarThornTree,
     all_permuted_trees,
     all_star_maps,
     deserialize,
     serialize,
+    to_json_obj,
 )
 
 
@@ -54,8 +57,11 @@ def test_psi_rejects_non_star():
     beta = Permutation.from_cycles(3, [(1, 2, 3)])
     m = BlackPartitionedStarMap(beta, SetPartition(3, [[1, 2, 3]]))
     assert not m.is_star
-    with pytest.raises(ValueError, match="long"):
+    with pytest.raises(ValueError) as exc:
         psi(m)
+    assert str(exc.value) == (
+        "the white-slot labeling needs alpha to be a long cycle; "
+        "got alpha of type Partition(1, 1, 1)")
 
 
 def test_psi_inverse_on_worked_example():
@@ -259,6 +265,63 @@ def test_psi_inverse_outcomes_pinned(n):
         for lam in partitions_of(n) for t in all_permuted_trees(lam))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == INVERSE_OUTCOMES_SHA256[n]
+
+
+# sha256 over the sorted lines "<serialized psi(m)> <psi_label(m) JSON>"
+# for every star map of size n, as built when psi composed alpha as a
+# Permutation and validated every object it built.
+PSI_OUTCOMES_SHA256 = {
+    1: "c9517bf287455c35bba35c96a6c07f35d470b2e124801f6f2551f998a0b7960d",
+    2: "11770769644b74fe25e11b244a055d76f83d529ad124c54c7d7f2fba6415d746",
+    3: "131dfffaaa60a84e44715f3ce624ade8b382d002cf84cb3432d5897868cc36c7",
+    4: "8840c8dfeb6512b05c0a5c159cb94daa1a42dc006c4214b4d3a4a55447b6f75d",
+    5: "c2b9e8dd4fe74125e70528ed583020f0107c6a7ba0d1eb9153a09bd951e089df",
+    6: "6be3ace32da72f4b0b057a212f9f846e57a39aaabfc92fa920be3715f31af11c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PSI_OUTCOMES_SHA256))
+def test_psi_outcomes_pinned(n):
+    import hashlib
+    import json
+
+    lines = sorted(
+        serialize(psi(m)) + " " + json.dumps(to_json_obj(psi_label(m)),
+                                             sort_keys=True,
+                                             separators=(",", ":"))
+        for lam in partitions_of(n) for m in all_star_maps(lam))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PSI_OUTCOMES_SHA256[n]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_psi_outputs_pass_the_validating_constructors(n):
+    for lam in partitions_of(n):
+        for m in all_star_maps(lam):
+            lt = psi_label(m)
+            tree = StarThornTree(lt.tree.white, lt.tree.blacks)
+            rebuilt = LabeledThornTree(tree, lt.white_labels, lt.black_labels)
+            assert lt == rebuilt and hash(lt) == hash(rebuilt)
+            t = psi(m)
+            rebuilt = PermutedThornTree(tree, t.sigma)
+            assert t == rebuilt and hash(t) == hash(rebuilt)
+
+
+def test_many_cycles_roundtrip_and_dot():
+    """n = 2000, beta = (1 2 .. n)^{n/2} of type 2^1000, one block per
+    cycle: the most blocks and cycles a map of this size can have."""
+    n, h = 2000, 1000
+    beta = Permutation([(k + h - 1) % n + 1 for k in range(1, n + 1)])
+    pi = SetPartition(n, [[k, k + h] for k in range(1, h + 1)])
+    m = BlackPartitionedStarMap(beta, pi)
+    assert m.is_star and m.beta.cycle_type() == Partition([2] * h)
+    out = psi_inverse(psi(m))
+    assert out.success and out.map == m and out.labeled == psi_label(m)
+    lines = ["graph black_partitioned_map {", '  w [shape=circle, label="W"];']
+    for k in range(1, h + 1):
+        lines += ['  blk%d [shape=box, label="{%d,%d}"];' % (k - 1, k, k + h),
+                  '  w -- blk%d [label="(%d %d)"];' % (k - 1, k, k + h)]
+    assert to_dot(m) == "\n".join(lines + ["}"]) + "\n"
 
 
 def test_large_roundtrip():

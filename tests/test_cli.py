@@ -187,10 +187,18 @@ def test_verify_sweep_stdout_pinned(capsys, argv):
     assert digest == SWEEP_STDOUT_SHA256[argv]
 
 
-# (exit code, sha256 of stdout) of `transform invert|classify` on each
-# fixture, captured alongside SWEEP_STDOUT_SHA256; example21 is a map, so
-# both directions refuse it with an empty stdout.
+# (exit code, sha256 of stdout) of `transform psi|invert|classify` on each
+# fixture; invert and classify were captured alongside SWEEP_STDOUT_SHA256,
+# psi when the forward map still built alpha by composition.  example21 is
+# the only map, so psi refuses the two trees and the other directions
+# refuse example21, each with an empty stdout.
 TRANSFORM_STDOUT_SHA256 = {
+    ("psi", "ex1.json"): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("psi", "example21.json"): (
+        0, "f7542123c7e8570a7e2feb6dfb14dcde83dd54ae0a2c6c89bfb95e047913e6ef"),
+    ("psi", "selfloop4.json"): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("invert", "ex1.json"): (
         0, "4f27d8a41bec62bbed4c42f82568087f5b3b2e6dac8a09b2a459877d3737342d"),
     ("invert", "example21.json"): (
@@ -211,6 +219,39 @@ def test_transform_stdout_pinned(capsys, direction, name):
     code, out, _ = run(capsys, "transform", direction, str(FIXTURES / name))
     assert (code, hashlib.sha256(out.encode()).hexdigest()) \
         == TRANSFORM_STDOUT_SHA256[direction, name]
+
+
+# (exit code, sha256 of stdout) of `export-dot [--aux]` on each fixture,
+# captured when map_to_dot still filtered beta's cycles once per block;
+# example21 is a map, so --aux refuses it with an empty stdout.
+EXPORT_DOT_STDOUT_SHA256 = {
+    ((), "ex1.json"): (
+        0, "16a164ecc84cc99bf875612d0d93994c34c4e5028d518d89674efcf020f7e887"),
+    ((), "example21.json"): (
+        0, "82ec2466291374a8ea77fc7298b715f2bf07c40d0c7915eff8409f2547104afd"),
+    ((), "selfloop4.json"): (
+        0, "7acae83dfdc89bf4c478fe89e26272e1c0f0ede2ba0b277eb21a7bd7b16ea1f9"),
+    (("--aux",), "ex1.json"): (
+        0, "646b823e60a24fb289c5387442d37c6d31b79ebfd5615641ccd11e755f19bc6a"),
+    (("--aux",), "example21.json"): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("--aux",), "selfloop4.json"): (
+        0, "243f4bc94040e4fcdb0450af2fdffbb4635ada7a0c6d530758ad9cb18f87aeda"),
+}
+
+
+@pytest.mark.parametrize("flags,name", sorted(EXPORT_DOT_STDOUT_SHA256))
+def test_export_dot_stdout_pinned(capsys, flags, name):
+    code, out, _ = run(capsys, "export-dot", *flags, str(FIXTURES / name))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) \
+        == EXPORT_DOT_STDOUT_SHA256[flags, name]
+
+
+def test_transform_psi_of_an_empty_map_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"beta":[],"n":0,"pi":[]}')
+    code, out, err = run(capsys, "transform", "psi", str(path))
+    assert (code, out, err) == (2, "", "error: n must be >= 1\n")
 
 
 @pytest.mark.parametrize("suite", ["bijection", "identities", "proportions",

@@ -115,7 +115,8 @@ def test_count_Bprime_solves_B_once_per_n(monkeypatch):
     row = [count_Bprime(9, m) for m in range(1, 10)]
     assert solves == [9]
     table = solve_B(9)
-    assert row == [count_Bprime(9, m, table) for m in range(1, 10)]
+    assert row == [sum(v for lam, v in table.entries.items()
+                       if lam.length == m) for m in range(1, 10)]
     assert counting._bprime_row(9) == (0, *row)
 
 

@@ -64,6 +64,15 @@ def test_map_coarseness_check():
     assert m.type_of() == Partition([2, 1])
 
 
+def test_map_split_cycle_message():
+    with pytest.raises(ValueError) as exc:
+        BlackPartitionedStarMap(Permutation.from_cycles(4, [(1, 3), (2, 4)]),
+                                SetPartition(4, [[1, 2], [3, 4]]))
+    assert str(exc.value) == (
+        "pi is not coarser than the orbits of beta: cycle [2, 4] is split "
+        "across blocks (element 4 outside block [1, 2])")
+
+
 def test_map_alpha_example():
     beta = Permutation.from_cycles(7, [(2, 5), (3, 7)])
     pi = SetPartition(7, [[1], [2, 5], [3, 7], [4], [6]])
@@ -86,6 +95,18 @@ def test_labeled_tree_two_blacks():
     lt = LabeledThornTree(tree, (3, 4, 2, 1), ((2,), (3,)))
     assert lt.clockwise_reading(0) == (2, 4)
     assert lt.clockwise_reading(1) == (3, 1)
+
+
+def test_to_permuted_is_valid_by_construction():
+    # sigma comes out in white-slot order, so the unvalidated result equals
+    # the one the validating constructor builds from the same fields
+    tree = StarThornTree((None, 0, None, None, 1), (2, 1))
+    lt = LabeledThornTree(tree, (4, 2, 5, 3, 1), ((3, 5), (4,)))
+    pt = lt.to_permuted()
+    rebuilt = PermutedThornTree(StarThornTree(tree.white, tree.blacks),
+                                pt.sigma)
+    assert pt == rebuilt and hash(pt) == hash(rebuilt)
+    assert pt.sigma == ((0, (1, 0)), (2, (0, 1)), (3, (0, 0)))
 
 
 def test_labeled_tree_validation():

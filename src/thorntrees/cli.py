@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import bijection, counting, dot, oracle, structures, symfun
@@ -85,20 +85,14 @@ def cmd_table(args):
         table = counting.solve_B(n)
     else:
         table = counting.table_for(fam, n)
+    if args.parity is not None:
+        table = replace(table, entries={
+            lam: v for lam, v in table.entries.items()
+            if lam.length % 2 == args.parity % 2})
     if args.format == "json":
-        obj = table.to_json_obj()
-        if args.parity is not None:
-            obj["rows"] = [[lam.exponential(), str(table.entries[lam])]
-                           for lam in partitions_of(n, args.parity)]
-        print(json.dumps(obj, sort_keys=True))
+        print(json.dumps(table.to_json_obj(), sort_keys=True))
     else:
-        if args.parity is None:
-            sys.stdout.write(table.to_csv())
-        else:
-            print("partition,value,provenance")
-            for lam in partitions_of(n, args.parity):
-                print("%s,%d,%s" % (lam.exponential(), table.entries[lam],
-                                    table.provenance))
+        sys.stdout.write(table.to_csv())
     return 0
 
 

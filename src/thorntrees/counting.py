@@ -94,7 +94,7 @@ class CountTable:
 
     def rows(self):
         """(partition, value) pairs in decreasing lexicographic order."""
-        return [(lam, self.entries[lam]) for lam in partitions_of(self.n)]
+        return sorted(self.entries.items(), reverse=True)
 
     def to_csv(self):
         lines = ["partition,value,provenance"]
@@ -156,7 +156,7 @@ def solve_B(n):
         mu = lam.up(lam[0])
         rhs = Fraction(2 * count_A(mu), n + 1)
         coeff = None
-        for j in sorted(set(mu.parts)):
+        for j in sorted(set(mu)):
             if j < 2:
                 continue
             lamp = mu.down(j)
@@ -221,7 +221,7 @@ def check_lift_recurrence(lam, i):
     ST(mu)*(N+1-p)!*i*m_{i+1}(mu) = (N+1)*i*m_i(lam)*ST(lam)*(N-p)!
     with mu = lam^{up(i)}.
     """
-    if i not in lam.parts:
+    if i not in lam:
         raise ValueError("no part %d in %r" % (i, lam))
     mu = lam.up(i)
     n, p = lam.size, lam.length

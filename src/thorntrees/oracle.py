@@ -109,9 +109,9 @@ def _pair_sweep(n):
         for pi in set_partitions_of_type(lam):
             blocks = [[x - 1 for x in b] for b in pi.blocks]
             for _ in _in_place(images, blocks):
-                C[lam.parts] += 1
+                C[lam] += 1
                 if _long_complement(images):
-                    D[lam.parts] += 1
+                    D[lam] += 1
     return C, D
 
 
@@ -144,13 +144,13 @@ def _tree_sweep(n):
 def enumerate_A(lam, budget=DEFAULT_SN_BUDGET):
     """Count permutations of type lam by sweeping S_n."""
     _check(lam.size, budget, "S_n", long_cycle=False)
-    return _sn_sweep(lam.size)[0][lam.parts]
+    return _sn_sweep(lam.size)[0][lam]
 
 
 def enumerate_B(lam, budget=DEFAULT_SN_BUDGET):
     """Count permutations beta of type lam with (1 2 .. n) beta^{-1} long."""
     _check(lam.size, budget, "S_n")
-    return _sn_sweep(lam.size)[1][lam.parts]
+    return _sn_sweep(lam.size)[1][lam]
 
 
 def enumerate_Bprime(n, m, budget=DEFAULT_SN_BUDGET):
@@ -167,13 +167,13 @@ def enumerate_CD(lam, budget=DEFAULT_PAIR_BUDGET):
     """
     _check(lam.size, budget, "pair")
     C, D = _pair_sweep(lam.size)
-    return C[lam.parts], D[lam.parts]
+    return C[lam], D[lam]
 
 
 def enumerate_ST(mu, budget=DEFAULT_SN_BUDGET):
     """Count star thorn trees of type mu by sweeping every tree of size n."""
     _check(mu.size, budget, "tree", long_cycle=False)
-    return _tree_sweep(mu.size)[mu.parts]
+    return _tree_sweep(mu.size)[mu]
 
 
 def reformulation_probability(lam, budget=DEFAULT_PAIR_BUDGET):

@@ -10,37 +10,39 @@ from itertools import combinations
 from math import factorial, prod
 
 
-class Partition:
-    """Weakly decreasing sequence of positive integer parts."""
+class Partition(tuple):
+    """Weakly decreasing sequence of positive integer parts: a validated
+    tuple, equal to and hashing like the plain tuple of its parts."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
     def __init__(self, parts):
-        parts = tuple(parts)
-        if any(p < 1 for p in parts):
-            raise ValueError("parts must be positive: %r" % (parts,))
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts must be weakly decreasing: %r" % (parts,))
-        object.__setattr__(self, "parts", parts)
+        if any(p < 1 for p in self):
+            raise ValueError("parts must be positive: %r" % (tuple(self),))
+        if any(self[i] < self[i + 1] for i in range(len(self) - 1)):
+            raise ValueError("parts must be weakly decreasing: %r"
+                             % (tuple(self),))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    @property
+    def parts(self):
+        """The parts as a plain tuple."""
+        return tuple(self)
 
     @property
     def size(self):
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self):
-        return len(self.parts)
+        return len(self)
 
     def multiplicity(self, i):
         """m_i: the number of parts equal to i."""
-        return self.parts.count(i)
+        return self.count(i)
 
     def multiplicities(self):
         out = {}
-        for p in self.parts:
+        for p in self:
             out[p] = out.get(p, 0) + 1
         return out
 
@@ -54,9 +56,9 @@ class Partition:
 
     def up(self, i):
         """Replace one part i by i+1 (size +1, length preserved)."""
-        if i not in self.parts:
+        if i not in self:
             raise ValueError("no part %d in %r" % (i, self))
-        parts = list(self.parts)
+        parts = list(self)
         parts.remove(i)
         parts.append(i + 1)
         return Partition(sorted(parts, reverse=True))
@@ -65,48 +67,26 @@ class Partition:
         """Replace one part j (j >= 2) by j-1 (size -1, length preserved)."""
         if j < 2:
             raise ValueError("down requires a part >= 2")
-        if j not in self.parts:
+        if j not in self:
             raise ValueError("no part %d in %r" % (j, self))
-        parts = list(self.parts)
+        parts = list(self)
         parts.remove(j)
         parts.append(j - 1)
         return Partition(sorted(parts, reverse=True))
 
     def exponential(self):
         """Exponential notation like '1^2 3^1 4^2' (empty partition: '()')."""
-        if not self.parts:
+        if not self:
             return "()"
         mult = self.multiplicities()
         return " ".join("%d^%d" % (i, mult[i]) for i in sorted(mult))
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
     def __repr__(self):
-        return "Partition%r" % (self.parts,)
+        return "Partition%r" % (tuple(self),)
 
 
-def partitions_of(n, parity=None):
-    """All partitions of n in decreasing lexicographic order.
-
-    With ``parity`` given, keep only partitions whose length is congruent
-    to ``parity`` mod 2.
-    """
+def partitions_of(n):
+    """All partitions of n in decreasing lexicographic order."""
     if n < 0:
         raise ValueError("n must be >= 0")
 
@@ -117,9 +97,7 @@ def partitions_of(n, parity=None):
         for first in range(min(cap, remaining), 0, -1):
             yield from gen(remaining - first, first, prefix + [first])
 
-    for lam in gen(n, n, []):
-        if parity is None or lam.length % 2 == parity % 2:
-            yield lam
+    yield from gen(n, n, [])
 
 
 class SetPartition:
@@ -179,7 +157,7 @@ def set_partitions_of_type(lam):
                 for tail in gen(left, sub):
                     yield [block] + tail
 
-    for blocks in gen(tuple(range(1, n + 1)), list(lam.parts)):
+    for blocks in gen(tuple(range(1, n + 1)), list(lam)):
         yield SetPartition(n, blocks)
 
 

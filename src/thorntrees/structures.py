@@ -233,7 +233,7 @@ def all_star_thorn_trees(mu):
     degree multiset to the black vertices in root order.
     """
     n, p = mu.size, mu.length
-    degree_orders = sorted(set(iperm(mu.parts)))
+    degree_orders = sorted(set(iperm(mu)))
     for positions in combinations(range(n), p):
         black_at = {s: b for b, s in enumerate(positions)}
         white = tuple(black_at.get(s) for s in range(n))
@@ -421,4 +421,6 @@ def deserialize(text):
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON at line %d column %d: %s"
                          % (exc.lineno, exc.colno, exc.msg)) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     return from_json_obj(d)

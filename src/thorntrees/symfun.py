@@ -90,7 +90,7 @@ def p_to_m(f):
     if f.basis != "p":
         raise ValueError("expected power-sum basis input")
     return SymPoly(f.degree, "m", {
-        lam: sum(c * _fill(nu.parts, lam.parts) for nu, c in f.coeffs.items())
+        lam: sum(c * _fill(nu, lam) for nu, c in f.coeffs.items())
         for lam in partitions_of(f.degree)})
 
 
@@ -104,7 +104,7 @@ def m_to_p(f):
         raise ValueError("expected monomial basis input")
     out = {}
     for lam in reversed(list(partitions_of(f.degree))):
-        out[lam] = (f[lam] - sum(b * _fill(nu.parts, lam.parts)
+        out[lam] = (f[lam] - sum(b * _fill(nu, lam)
                                  for nu, b in out.items())) / lam.aut()
     return SymPoly(f.degree, "p", out)
 
@@ -145,7 +145,7 @@ def evaluate(f, xs):
         else:
             if lam.length > len(xs):
                 continue
-            padded = tuple(lam.parts) + (0,) * (len(xs) - lam.length)
+            padded = lam + (0,) * (len(xs) - lam.length)
             v = sum(_prodpow(xs, expo) for expo in set(iperm(padded)))
         total += c * v
     return total
@@ -219,7 +219,7 @@ def verify_reduction(n):
     for mu in partitions_of(d):
         lhs_c = count_A(mu) * (1 + (-1) ** ((n - mu.length) % 2))
         rhs_c = 0
-        for j in sorted(set(mu.parts)):
+        for j in sorted(set(mu)):
             if j >= 2:
                 lam = mu.down(j)
                 rhs_c += (j - 1) * lam.multiplicity(j - 1) * B[lam]

@@ -247,6 +247,83 @@ def test_export_dot_stdout_pinned(capsys, flags, name):
         == EXPORT_DOT_STDOUT_SHA256[flags, name]
 
 
+# (exit code, sha256 of stdout) of `table`, captured while `--parity`
+# still had its own CSV/JSON printer.
+TABLE_STDOUT_SHA256 = {
+    ('A', '6'): (
+        0, "855f446946a552ce17fcb0beb090249e28e4d7385fe8d7423331b992a1c5079d"),
+    ('A', '6', '--parity', '0'): (
+        0, "b15f62c1da5abe89f9a7c6711c15da6405fdf30c0df67af7364d9a75f56b56ad"),
+    ('A', '6', '--parity', '1'): (
+        0, "46a76dcf3d0da9c2b09c63a537a7c37ae5d57fc733ec0bdb15cc0c9517966167"),
+    ('A', '6', '--format', 'json'): (
+        0, "0f6c30b47e51b93b6db7192af205f257a535731ffd2d9f81c7c2ab83d0a9af94"),
+    ('A', '6', '--format', 'json', '--parity', '0'): (
+        0, "c6c21bae0a2cf1243539f2d4ba25537f897e11b9fd937883a232f9082cfe09bc"),
+    ('A', '6', '--format', 'json', '--parity', '1'): (
+        0, "9daf07994e26f2075b9323a9d8384127745ffe28d3594a5f8dc7feffe7586b5a"),
+    ('B', '6'): (
+        0, "cbfac3a878e75140d224099f1d2fea2c32b1c77d61944ed54f1344f8cfcfd029"),
+    ('B', '6', '--parity', '0'): (
+        0, "6b1a5b0489597712813613931058b322a450f107c585025e9d7b2ff70ec7ec4c"),
+    ('B', '6', '--parity', '1'): (
+        0, "d0a79eb507ac4296addcd487f36e69b79f558e7e5502dc46d523f7937fab3d93"),
+    ('B', '6', '--format', 'json'): (
+        0, "7de368c148fd03fcf340f92ca7e1f675484e8a093f4192d02d2124a8ce0d7085"),
+    ('B', '6', '--format', 'json', '--parity', '0'): (
+        0, "35abd51e22ed53f5524e1671e04b667c74d1b71f6322061cde71620643a49024"),
+    ('B', '6', '--format', 'json', '--parity', '1'): (
+        0, "f63a95c3a401b95490305405f974cc690061ad063720f8c7bb9de7f16cbd61cd"),
+    ('C', '6'): (
+        0, "f50f5a12467e177443423b8db6d273ff2c77b89f80c4467ef438d186ff82ea30"),
+    ('C', '6', '--parity', '0'): (
+        0, "3b71a7e19d141129a1555b9f6fc111b66557f390aeda5d22b4635e1c89650233"),
+    ('C', '6', '--parity', '1'): (
+        0, "c4645a452c290eb0c1b82a4688057910dc5faa470fa8b1fe37c4d5b55c2d0d51"),
+    ('C', '6', '--format', 'json'): (
+        0, "1d59ae6757737468c98860428b235eaea31519f1bd9e5dd4511046b9dabe48de"),
+    ('C', '6', '--format', 'json', '--parity', '0'): (
+        0, "d99d388df38815a360627740485c6596eae29caa601b49b19ae572d9186d6ab6"),
+    ('C', '6', '--format', 'json', '--parity', '1'): (
+        0, "383b25c4b573cb8b93b37384245209d2ef97f96dd15d0ca87d60453ec9c238d8"),
+    ('D', '6'): (
+        0, "97b04d6475a2356d4321f000fa554e5f68815dfb67495da9c07bb696126c58bb"),
+    ('D', '6', '--parity', '0'): (
+        0, "92dbdf9619344e1dacac649a032456038a24971dcf523c4630898264e738e746"),
+    ('D', '6', '--parity', '1'): (
+        0, "6300b22010709f796d0a8402f9142494d612cb0991ca6a2e228450e44f548f74"),
+    ('D', '6', '--format', 'json'): (
+        0, "9cf13da8ca9167042b43b628229db12f9757e88cb1c2da89d8f0c1659f94bb2a"),
+    ('D', '6', '--format', 'json', '--parity', '0'): (
+        0, "4ec90c5618a37204d80772877736414256c270b8b575e3912c5d72bfb13a7150"),
+    ('D', '6', '--format', 'json', '--parity', '1'): (
+        0, "ddad37e6f5bbeeca23d659cb07e513f7752bfefb825b65e2904db5e4b394f9e7"),
+    ('ST', '6'): (
+        0, "f0ca1b88d477835f16ee6e51297dd34d6ca9cd857d8fcbf944d501ba06772da3"),
+    ('ST', '6', '--parity', '0'): (
+        0, "3d360ec939ce46d5518ce0c2bb3a65dc6fc5936e67cdc1d47acc836c65fa4972"),
+    ('ST', '6', '--parity', '1'): (
+        0, "b2835784be63faf70e731eee133aaaf4963ac220ff810aeb1c75561823d299b5"),
+    ('ST', '6', '--format', 'json'): (
+        0, "635aecd1b4c2ce9b288d83a0673e45283f97518f3843b2f6fea23d035351ffeb"),
+    ('ST', '6', '--format', 'json', '--parity', '0'): (
+        0, "3da77ab4eb93a04699ff4c9b01325b034b4f4c931c3c6545b0939a24c374fcaf"),
+    ('ST', '6', '--format', 'json', '--parity', '1'): (
+        0, "67f48fa973d6997161083d95e3fb97bfe30e35868103b1feaa6baa43b9860faf"),
+    ('B', '7', '--oracle', '--budget', '7', '--parity', '1'): (
+        0, "3a4a79970ddeaec1e94e0061bf9f929f7ffdd6777637eb4e6fa21fadc2d7e18a"),
+    ('A', '0', '--parity', '0'): (
+        0, "71a1c90752b40f2201d77e31b0cd62eeff9eb8694058df30e2ea51aa03aa162e"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_STDOUT_SHA256))
+def test_table_stdout_pinned(capsys, argv):
+    code, out, _ = run(capsys, "table", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) \
+        == TABLE_STDOUT_SHA256[argv]
+
+
 def test_transform_psi_of_an_empty_map_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"beta":[],"n":0,"pi":[]}')
@@ -333,6 +410,20 @@ def test_malformed_json(tmp_path, capsys):
     bad.write_text("{broken")
     code, _, err = run(capsys, "transform", "classify", str(bad))
     assert code == 2 and "line" in err
+
+
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("text", [DEEP, '{"beta": %s, "n": 1, "pi": [[1]]}'
+                                  % DEEP])
+@pytest.mark.parametrize("argv", [["transform", "psi"], ["export-dot"]])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: nested too deeply\n"
 
 
 def test_usage_error(capsys):

@@ -87,7 +87,7 @@ def test_solve_B_base_cases():
     assert solve_B(3)[Partition([3])] == 1
     assert solve_B(3)[Partition([1, 1, 1])] == 1
     assert solve_B(3)[Partition([2, 1])] == 0
-    assert solve_B(5)[Partition([5])] == 8
+    assert solve_B(5)[Partition([5])] == solve_B(5)[(5,)] == 8
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -154,6 +154,21 @@ def test_table_export():
     assert "4^1,6,formula" in csv
     obj = t.to_json_obj()
     assert obj["rows"][0] == ["4^1", "6"]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 8])
+def test_table_rows_decrease_lexicographically(n):
+    lams = list(partitions_of(n))
+    shuffled = lams[::2][::-1] + lams[1::2]  # every entry, out of order
+    partial = lams[::-3]  # some entries, in increasing order
+    for keys in (shuffled, partial):
+        table = counting.CountTable(n, "A", {lam: count_A(lam) for lam in keys})
+        rows = table.rows()
+        assert [lam for lam, _ in rows] == [lam for lam in lams if lam in keys]
+        assert all(v == count_A(lam) for lam, v in rows)
+    # and a solved table prints in the generator's order
+    if n:
+        assert [lam for lam, _ in solve_B(n).rows()] == lams
 
 
 def test_table_for_oracle_and_unknown_families():

@@ -20,11 +20,6 @@ def test_partitions_of_zero():
     assert list(partitions_of(0)) == [Partition([])]
 
 
-def test_partitions_parity_filter():
-    assert [p.parts for p in partitions_of(4, parity=4)] == [
-        (3, 1), (2, 2), (1, 1, 1, 1)]
-
-
 def test_up_down_worked_examples():
     assert Partition([4, 4, 3, 1, 1]).down(4) == Partition([4, 3, 3, 1, 1])
     assert Partition([4, 3, 3, 2, 2]).up(2) == Partition([4, 3, 3, 3, 2])
@@ -108,6 +103,36 @@ def test_partition_validation():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, 0])
+
+
+def test_partition_validation_messages():
+    with pytest.raises(ValueError) as exc:
+        Partition(iter([3, 0]))
+    assert str(exc.value) == "parts must be positive: (3, 0)"
+    with pytest.raises(ValueError) as exc:
+        Partition([1, 2, 2])
+    assert str(exc.value) == "parts must be weakly decreasing: (1, 2, 2)"
+
+
+def test_partition_is_its_tuple_of_parts():
+    lam = Partition([3, 1, 1])
+    assert isinstance(lam, tuple)
+    assert lam == (3, 1, 1) and (3, 1, 1) == lam
+    assert hash(lam) == hash((3, 1, 1))
+    assert {(3, 1, 1): "x"}[lam] == "x" and {lam: "y"}[(3, 1, 1)] == "y"
+    assert lam.parts == (3, 1, 1) and type(lam.parts) is tuple
+    assert repr(lam) == "Partition(3, 1, 1)"
+    assert Partition([]) == () and repr(Partition([])) == "Partition()"
+
+
+def test_partition_is_immutable():
+    lam = Partition([2, 1])
+    for name in ("parts", "size", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(lam, name, (5,))
+    with pytest.raises(TypeError):
+        lam[0] = 5
+    assert lam == (2, 1)
 
 
 def test_exponential_notation():

@@ -11,7 +11,7 @@ that edge's black vertex (P2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -21,9 +21,11 @@ from .perm import Permutation
 from .structures import (
     BlackPartitionedStarMap,
     LabeledThornTree,
-    PermutedThornTree,
     StarThornTree,
+    _black_lists,
+    _pack,
     _trusted,
+    _unpack,
     all_permuted_trees,
     to_json_obj,
 )
@@ -202,7 +204,7 @@ class AuxGraph:
 
     p: int
     root: int
-    out: dict = field(compare=False)
+    out: dict
 
     def classify(self):
         """('tree', None) if every vertex reaches the root, else
@@ -223,10 +225,6 @@ class AuxGraph:
             for u in path:
                 status[u] = "ok"
         return ("tree", None)
-
-    def to_json_obj(self):
-        return {"out": {str(k): v for k, v in sorted(self.out.items())},
-                "p": self.p, "root": self.root}
 
 
 def aux_graph(t):
@@ -284,6 +282,16 @@ def classify(t):
 # Contraction move (phi) and proportions
 
 
+def _element(slots, x):
+    """The black element that root slot content ``x`` of an edit form
+    meets: ("e", b) for black b's list, ("t", b, i) for its i-th thorn."""
+    for b, thorns in enumerate(_black_lists(slots)):
+        if x is thorns:
+            return ("e", b)
+        if x in thorns:
+            return ("t", b, thorns.index(x))
+
+
 def contract(t, marked):
     """Erase the marked black vertex, moving its thorns to its successor.
 
@@ -299,43 +307,16 @@ def contract(t, marked):
     target = g.out[marked]
     if target == marked:
         raise ValueError("marked vertex is self-looping")
-    tree = t.tree
-    s = tree.edge_slot(marked)
-    v = tree.white[s - 1]
-    if v is not None:
-        marked_elem = ("e", v)
-    else:
-        b2, t2 = t.sigma_map()[s - 1]
-        marked_elem = ("t", b2, t2)
+    slots = _unpack(t)
+    blacks = _black_lists(slots)
+    s = t.tree.edge_slot(marked)
+    marked_elem = _element(slots, slots[s - 1])
     if marked_elem[1] != target:
         raise AssertionError("marked element %r is not on the successor %d"
                              % (marked_elem, target))
-
-    def new_black(c):
-        return c if c < marked else c - 1
-
-    def new_slot(x):
-        return x if x < s else x - 1
-
-    own = tree.blacks[target]
-
-    def new_coord(bt):
-        b, ti = bt
-        if b == marked:
-            return (new_black(target), own + ti)
-        return (new_black(b), ti)
-
-    white = tuple(new_black(x) if x is not None else None
-                  for i, x in enumerate(tree.white) if i != s)
-    blacks = tuple(tree.blacks[c] + (tree.blacks[marked] if c == target else 0)
-                   for c in range(tree.p) if c != marked)
-    sigma = tuple((new_slot(w), new_coord(bt)) for w, bt in t.sigma)
-    out = PermutedThornTree(StarThornTree(white, blacks), sigma)
-    if marked_elem[0] == "e":
-        elem = ("e", new_black(target))
-    else:
-        elem = ("t", new_black(target), marked_elem[2])
-    return out, elem
+    blacks[target].extend(blacks[marked])
+    del slots[s]
+    return _pack(slots), _element(slots, slots[s - 1])
 
 
 def expand(t, marked_elem, k):
@@ -351,42 +332,27 @@ def expand(t, marked_elem, k):
     if tree.white[0] is None:
         raise NoP1Error("leftmost root slot is a thorn")
     v = marked_elem[1]
+    if not 0 <= v < tree.p:
+        raise ValueError("no black vertex %d" % v)
     j = tree.degree(v) - k + 1
     if k < 1 or j < 1:
         raise ValueError("vertex degree %d cannot split as (j,k=%d)"
                          % (tree.degree(v), k))
+    slots = _unpack(t)
+    thorns = _black_lists(slots)[v]
     if marked_elem[0] == "t":
         if not 0 <= marked_elem[2] <= j - 2:
             raise ValueError("marked thorn %d is not among the first %d"
                              % (marked_elem[2], j - 1))
-        w = t.sigma_inv()[(v, marked_elem[2])]
+        w = slots.index(thorns[marked_elem[2]])
     elif marked_elem[0] == "e":
         w = tree.edge_slot(v)
     else:
         raise ValueError("bad marked element %r" % (marked_elem,))
-
-    s = w + 1  # the new edge slot
-    r = sum(1 for x in tree.white[:s] if x is not None)  # its root rank
-
-    def new_black(c):
-        return c if c < r else c + 1
-
-    def new_coord(bt):
-        b, ti = bt
-        if b == v and ti >= j - 1:
-            return (r, ti - (j - 1))
-        return (new_black(b), ti)
-
-    white = [new_black(x) if x is not None else None for x in tree.white]
-    white.insert(s, r)
-    newblacks = [0] * (tree.p + 1)
-    for c in range(tree.p):
-        newblacks[new_black(c)] = tree.blacks[c] if c != v else j - 1
-    newblacks[r] = k - 1
-    sigma = tuple((x if x < s else x + 1, new_coord(bt)) for x, bt in t.sigma)
-    out = PermutedThornTree(StarThornTree(tuple(white), tuple(newblacks)),
-                            sigma)
-    return out, r
+    new = thorns[j - 1:]
+    del thorns[j - 1:]
+    slots.insert(w + 1, new)
+    return _pack(slots), _element(slots, new)[1]
 
 
 def proportion_stats(lam, budget=DEFAULT_PAIR_BUDGET):

@@ -11,7 +11,7 @@ All arithmetic is exact; any non-integral intermediate raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -86,7 +86,7 @@ class CountTable:
 
     n: int
     family: str  # A | B | C | D | ST
-    entries: dict = field(compare=False)
+    entries: dict
     provenance: str = "formula"  # formula | solver | oracle
 
     def __getitem__(self, lam):

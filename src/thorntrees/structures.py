@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations as iperm
+from itertools import combinations, count, permutations as iperm
 
 from .oracle import DEFAULT_PAIR_BUDGET, _check, _each_beta, _long_complement
 from .partition import Partition, SetPartition, set_partitions_of_type
@@ -111,9 +111,6 @@ class PermutedThornTree:
 
     def sigma_map(self):
         return dict(self.sigma)
-
-    def sigma_inv(self):
-        return {bt: w for w, bt in self.sigma}
 
 
 @dataclass(frozen=True)
@@ -270,6 +267,36 @@ def all_star_maps(lam, budget=DEFAULT_PAIR_BUDGET):
 # Lift / drop moves (the thorn-lift recurrence, operationally)
 
 
+def _unpack(t):
+    """The edit form of a permuted tree, on which every tree move is a list
+    edit: the root slots left to right, an edge slot being its black
+    vertex's list of thorn tokens (ccw storage order) and a white thorn the
+    token it shares with its sigma partner (its slot index).  Find black
+    lists by identity: two thornless vertices both hold []."""
+    thorns = [[None] * c for c in t.tree.blacks]
+    for w, (b, i) in t.sigma:
+        thorns[b][i] = w
+    return [s if b is None else thorns[b]
+            for s, b in enumerate(t.tree.white)]
+
+
+def _black_lists(slots):
+    return [x for x in slots if type(x) is list]
+
+
+def _pack(slots):
+    """The permuted tree of an edit form, through the validating
+    constructors: blacks numbered by root order, equal tokens paired."""
+    blacks = _black_lists(slots)
+    at = {tok: (b, i) for b, thorns in enumerate(blacks)
+          for i, tok in enumerate(thorns)}
+    rank = count()
+    white = tuple(next(rank) if type(x) is list else None for x in slots)
+    sigma = tuple((s, at[x]) for s, x in enumerate(slots) if white[s] is None)
+    tree = StarThornTree(white, tuple(len(x) for x in blacks))
+    return PermutedThornTree(tree, sigma)
+
+
 def lift(t, white_pos, black, black_pos):
     """Insert a matched thorn pair: one at white slot ``white_pos`` (0..n)
     and one at position ``black_pos`` (0..thorns) on vertex ``black``.
@@ -277,60 +304,27 @@ def lift(t, white_pos, black, black_pos):
     Takes type lam to lam^{up(degree(black))}.
     """
     tree = t.tree
-    n = tree.n
-    if not 0 <= white_pos <= n:
+    if not 0 <= white_pos <= tree.n:
         raise ValueError("white position out of range")
     if not 0 <= black < tree.p:
         raise ValueError("no black vertex %d" % black)
     if not 0 <= black_pos <= tree.blacks[black]:
         raise ValueError("black thorn position out of range")
-    white = tree.white[:white_pos] + (None,) + tree.white[white_pos:]
-    blacks = list(tree.blacks)
-    blacks[black] += 1
-    new_tree = StarThornTree(white, tuple(blacks))
-
-    def shift_w(s):
-        return s + 1 if s >= white_pos else s
-
-    def shift_bt(bt):
-        b, ti = bt
-        if b == black and ti >= black_pos:
-            return (b, ti + 1)
-        return bt
-
-    sigma = [(shift_w(w), shift_bt(bt)) for w, bt in t.sigma]
-    sigma.append((white_pos, (black, black_pos)))
-    return PermutedThornTree(new_tree, tuple(sigma))
+    slots = _unpack(t)
+    token = object()  # fresh: equal to no token the tree holds
+    _black_lists(slots)[black].insert(black_pos, token)
+    slots.insert(white_pos, token)
+    return _pack(slots)
 
 
 def drop(t, black, black_pos):
-    """Remove the marked black thorn and its white partner (inverse of lift).
-
-    The marked thorn must sit on a vertex of degree >= 2.
-    """
+    """Remove a black thorn and its white partner (inverse of lift)."""
     tree = t.tree
     if not (0 <= black < tree.p and 0 <= black_pos < tree.blacks[black]):
         raise ValueError("no black thorn (%d, %d)" % (black, black_pos))
-    if tree.degree(black) < 2:
-        raise ValueError("vertex %d has degree < 2" % black)
-    white_pos = t.sigma_inv()[(black, black_pos)]
-    white = tree.white[:white_pos] + tree.white[white_pos + 1:]
-    blacks = list(tree.blacks)
-    blacks[black] -= 1
-    new_tree = StarThornTree(white, tuple(blacks))
-
-    def shift_w(s):
-        return s - 1 if s > white_pos else s
-
-    def shift_bt(bt):
-        b, ti = bt
-        if b == black and ti > black_pos:
-            return (b, ti - 1)
-        return bt
-
-    sigma = [(shift_w(w), shift_bt(bt)) for w, bt in t.sigma
-             if w != white_pos]
-    return PermutedThornTree(new_tree, tuple(sigma))
+    slots = _unpack(t)
+    slots.remove(_black_lists(slots)[black].pop(black_pos))
+    return _pack(slots)
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +366,26 @@ def serialize(obj):
     return json.dumps(to_json_obj(obj), sort_keys=True, separators=(",", ":"))
 
 
+def _int(x):
+    """A JSON integer as is; anything else (true, 2.5, "2") is refused."""
+    if type(x) is not int:
+        raise ParseError("expected an integer, found %s" % json.dumps(x))
+    return x
+
+
 def _tree_from_obj(d):
     white = []
     for slot in d["white"]:
         if "edge" in slot:
-            white.append(int(slot["edge"]))
+            white.append(_int(slot["edge"]))
         elif "thorn" in slot:
             white.append(None)
         else:
             raise ParseError("white slot must be an edge or a thorn: %r"
                              % (slot,))
     tree = StarThornTree(tuple(white),
-                         tuple(int(b["thorns"]) for b in d["blacks"]))
-    if tree.n != int(d["n"]):
+                         tuple(_int(b["thorns"]) for b in d["blacks"]))
+    if tree.n != _int(d["n"]):
         raise ParseError("declared n=%s but %d white slots" % (d["n"], tree.n))
     return tree
 
@@ -394,17 +395,18 @@ def from_json_obj(d):
         raise ParseError("top-level value must be an object")
     try:
         if "beta" in d:
-            beta = Permutation(int(x) for x in d["beta"])
-            pi = SetPartition(int(d["n"]), [list(map(int, b)) for b in d["pi"]])
+            beta = Permutation(_int(x) for x in d["beta"])
+            pi = SetPartition(_int(d["n"]),
+                              [list(map(_int, b)) for b in d["pi"]])
             return BlackPartitionedStarMap(beta, pi)
         if "white_labels" in d:
             tree = _tree_from_obj(d["tree"])
-            return LabeledThornTree(tree, tuple(map(int, d["white_labels"])),
-                                    tuple(tuple(map(int, x))
+            return LabeledThornTree(tree, tuple(map(_int, d["white_labels"])),
+                                    tuple(tuple(map(_int, x))
                                           for x in d["black_labels"]))
         if "sigma" in d:
             tree = _tree_from_obj(d)
-            sigma = tuple((int(w), (int(b), int(t)))
+            sigma = tuple((_int(w), (_int(b), _int(t)))
                           for w, (b, t) in d["sigma"])
             return PermutedThornTree(tree, sigma)
         if "white" in d:

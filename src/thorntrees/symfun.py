@@ -61,11 +61,6 @@ class SymPoly:
                 and (self.degree, self.basis) == (other.degree, other.basis)
                 and self.coeffs == other.coeffs)
 
-    def to_json_obj(self):
-        rows = [[lam.exponential(), str(self[lam])]
-                for lam in partitions_of(self.degree)]
-        return {"basis": self.basis, "degree": self.degree, "coeffs": rows}
-
 
 @lru_cache(maxsize=None)
 def _fill(parts, room):

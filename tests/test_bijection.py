@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from thorntrees.bijection import (
+    AuxGraph,
     NoP1Error,
     aux_graph,
     classify,
@@ -25,6 +26,8 @@ from thorntrees.structures import (
     all_permuted_trees,
     all_star_maps,
     deserialize,
+    drop,
+    lift,
     serialize,
     to_json_obj,
 )
@@ -177,6 +180,20 @@ def test_contract_guards():
         contract(sl, looper)
 
 
+@pytest.mark.parametrize("elem", [("e", -1), ("e", 3), ("t", -1, 0),
+                                  ("t", 3, 0)])
+def test_expand_vertex_out_of_range(elem):
+    t = psi(fixture("example21.json"))
+    assert t.tree.p == 3
+    with pytest.raises(ValueError, match="no black vertex %d$" % elem[1]):
+        expand(t, elem, 1)
+
+
+def test_aux_graph_equality_compares_edges():
+    assert AuxGraph(2, 0, {1: 0}) == AuxGraph(2, 0, {1: 0})
+    assert AuxGraph(2, 0, {1: 0}) != AuxGraph(2, 0, {1: 1})
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_proportions(n):
     for lam in partitions_of(n):
@@ -292,6 +309,64 @@ def test_psi_outcomes_pinned(n):
         for lam in partitions_of(n) for m in all_star_maps(lam))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PSI_OUTCOMES_SHA256[n]
+
+
+def _move_outcome(move, *args):
+    try:
+        out = move(*args)
+    except Exception as exc:
+        return "%s:%s" % (type(exc).__name__, exc)
+    if isinstance(out, tuple):  # contract and expand also return a mark
+        return "%s %r" % (serialize(out[0]), out[1])
+    return serialize(out)
+
+
+def _move_outcome_lines(n_max):
+    """One line per (tree, move, arguments) for every permuted tree of size
+    <= n_max, the arguments running one past each end of their range
+    (expand's vertex stays in range: outside it, it raises ValueError)."""
+    for n in range(1, n_max + 1):
+        for lam in partitions_of(n):
+            for t in all_permuted_trees(lam):
+                key, p = serialize(t), t.tree.p
+
+                def thorns(b):
+                    return t.tree.blacks[b] if 0 <= b < p else 0
+
+                for wp in range(-1, n + 2):
+                    for b in range(-1, p + 1):
+                        for bp in range(-1, thorns(b) + 2):
+                            out = _move_outcome(lift, t, wp, b, bp)
+                            yield "%s lift%r %s" % (key, (wp, b, bp), out)
+                for b in range(-1, p + 1):
+                    for bp in range(-1, thorns(b) + 1):
+                        yield "%s drop%r %s" % (
+                            key, (b, bp), _move_outcome(drop, t, b, bp))
+                    yield "%s contract(%d) %s" % (
+                        key, b, _move_outcome(contract, t, b))
+                for v in range(p):
+                    elems = ([("e", v), ("x", v)]
+                             + [("t", v, i) for i in range(-1, thorns(v) + 1)])
+                    for elem in elems:
+                        for k in range(thorns(v) + 3):
+                            out = _move_outcome(expand, t, elem, k)
+                            yield "%s expand%r %s" % (key, (elem, k), out)
+
+
+# sha256 over the sorted outcome lines of lift, drop, contract and expand
+# on every permuted tree with n <= 4 (12 922 lines), as computed when each
+# move re-derived every slot, black and thorn coordinate by hand.
+MOVE_OUTCOMES_SHA256 = \
+    "b81c4e3eb2d11ee977daaa4582efc2c2886ec5bfaec4ec3ed108a0330daac4af"
+
+
+def test_move_outcomes_pinned():
+    import hashlib
+
+    lines = sorted(_move_outcome_lines(4))
+    assert len(lines) == 12922
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == MOVE_OUTCOMES_SHA256
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -382,6 +382,54 @@ def test_transform_contract(tmp_path, capsys):
     assert "tree" in rep and "marked_element" in rep
 
 
+# (exit code, sha256 of stdout) of `transform contract --mark b` for every
+# b from -1 to p, captured when contract re-derived every slot, black and
+# thorn coordinate by hand; psi(example21.json) is the tree that
+# `transform psi` prints for that map.
+CONTRACT_STDOUT_SHA256 = {
+    ("ex1.json", -1): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("ex1.json", 0): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("ex1.json", 1): (
+        0, "f36b78e2c30b6ef81be4f2cba50153be4c07ced69c45cd853744c8b1b6d9db08"),
+    ("ex1.json", 2): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("selfloop4.json", -1): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("selfloop4.json", 0): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("selfloop4.json", 1): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("selfloop4.json", 2): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("psi(example21.json)", -1): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("psi(example21.json)", 0): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("psi(example21.json)", 1): (
+        0, "c221fe6b0b98ff78e7fc35f41974f979d5dee2a860ba160f43388b694e67334d"),
+    ("psi(example21.json)", 2): (
+        0, "8c659335dc4b6e1dd478b116ef014616ec7b32e518f8d53777303410cd7d2d4c"),
+    ("psi(example21.json)", 3): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("name,mark", sorted(CONTRACT_STDOUT_SHA256))
+def test_transform_contract_stdout_pinned(tmp_path, capsys, name, mark):
+    path = FIXTURES / name
+    if name == "psi(example21.json)":
+        path = tmp_path / "tree.json"
+        path.write_text(structures.serialize(psi(deserialize(
+            (FIXTURES / "example21.json").read_text()))) + "\n")
+    code, out, err = run(capsys, "transform", "contract", str(path),
+                         "--mark", str(mark))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) \
+        == CONTRACT_STDOUT_SHA256[name, mark]
+    assert err.count("\n") == (code != 0)
+
+
 def test_transform_contract_requires_mark(capsys):
     code, _, err = run(capsys, "transform", "contract",
                        str(FIXTURES / "ex1.json"))
@@ -580,6 +628,29 @@ def test_mangled_input_exits_0_or_2(text):
             assert code in (0, 2), (argv, text, err.getvalue())
             if code == 2:
                 assert err.getvalue().startswith("error: ")
+
+
+# a key path to every integer field of each object kind, in the files that
+# _object_files writes
+INT_FIELDS = (
+    [("example21", path) for path in (("n",), ("beta", 0), ("pi", 0, 0))]
+    + [("ex1", path) for path in (("n",), ("white", 0, "edge"),
+                                  ("blacks", 0, "thorns"), ("sigma", 0, 0),
+                                  ("sigma", 0, 1, 0), ("sigma", 0, 1, 1))]
+    + [("labeled", path) for path in (("white_labels", 0),
+                                      ("black_labels", 0, 0), ("tree", "n"))])
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "2"])
+@pytest.mark.parametrize("name,path", INT_FIELDS)
+def test_non_integer_fields_are_refused(tmp_path, capsys, name, path, value):
+    obj = json.loads(_object_files(tmp_path)[name].read_text())
+    _get(obj, path[:-1])[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "export-dot", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: expected an integer, found %s\n" % json.dumps(value)
 
 
 def test_readme_cli_examples_run(capsys, monkeypatch):

@@ -188,3 +188,12 @@ def test_inexact_division_guard():
         from thorntrees.counting import _exact_div
 
         _exact_div(7, 2)
+
+
+def test_table_equality_compares_entries():
+    B = solve_B(5)
+    assert B == counting.CountTable(5, "B", dict(B.entries), "solver")
+    assert B != counting.CountTable(5, "B", {}, "solver")
+    changed = dict(B.entries)
+    changed[Partition([5])] += 1
+    assert B != counting.CountTable(5, "B", changed, "solver")

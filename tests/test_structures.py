@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from thorntrees.counting import count_D, count_ST
@@ -174,7 +176,7 @@ def test_lift_drop_roundtrip():
 def test_drop_degree_guard():
     tree = StarThornTree((0, None, 1), (0, 1))
     t = PermutedThornTree(tree, ((1, (1, 0)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("no black thorn (0, 0)")):
         drop(t, 0, 0)
 
 

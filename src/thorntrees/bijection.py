@@ -9,14 +9,10 @@ slot is a real edge (P1) and the auxiliary graph is a tree rooted at
 that edge's black vertex (P2).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 from .oracle import DEFAULT_PAIR_BUDGET
-from .partition import SetPartition
+from .partition import SetPartition, Value
 from .perm import Permutation
 from .structures import (
     BlackPartitionedStarMap,
@@ -82,8 +78,7 @@ def psi(m):
     return psi_label(m).to_permuted()
 
 
-@dataclass(frozen=True)
-class InverseOutcome:
+class InverseOutcome(Value):
     """Result of the label-recovery procedure.
 
     Success carries the recovered map and its labeled tree; Failure
@@ -91,11 +86,15 @@ class InverseOutcome:
     colliding element always carries label 1).
     """
 
-    success: bool
-    map: BlackPartitionedStarMap = None
-    labeled: LabeledThornTree = None
-    step: int = None
-    certificate: dict = None
+    __slots__ = _fields = ("success", "map", "labeled", "step", "certificate")
+
+    def __init__(self, success, map=None, labeled=None, step=None,
+                 certificate=None):
+        object.__setattr__(self, "success", success)
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "labeled", labeled)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "certificate", certificate)
 
     def to_json_obj(self):
         if self.success:
@@ -174,9 +173,12 @@ def _recover(t):
         e = elem[target]
         label[e] = white_labels[target] = i + 1
 
+    # success labels each slot and each black element once: every object
+    # below is valid by construction
     readings = [label[starts[b]:stops[b]] for b in range(tree.p)]
-    labeled = LabeledThornTree(tree, tuple(white_labels),
-                               tuple(tuple(r[-2::-1]) for r in readings))
+    labeled = _trusted(LabeledThornTree, tree=tree,
+                       white_labels=tuple(white_labels),
+                       black_labels=tuple(tuple(r[-2::-1]) for r in readings))
     # recover beta: split each clockwise reading at its left-to-right maxima
     images = [0] * n
     for reading in readings:
@@ -188,9 +190,11 @@ def _recover(t):
                 images[lab - 1] = last
             last = lab
         images[head - 1] = last
-    # each block is a union of beta's cycles by construction
-    m = _trusted(BlackPartitionedStarMap, beta=Permutation(images),
-                 pi=SetPartition(n, readings))
+    # each block is a union of beta's cycles; disjoint blocks sort by minimum
+    pi = _trusted(SetPartition, n=n,
+                  blocks=tuple(sorted(tuple(sorted(r)) for r in readings)))
+    m = _trusted(BlackPartitionedStarMap,
+                 beta=_trusted(Permutation, n=n, images=tuple(images)), pi=pi)
     return InverseOutcome(success=True, map=m, labeled=labeled)
 
 
@@ -198,13 +202,15 @@ def _recover(t):
 # Auxiliary graph and image characterization
 
 
-@dataclass(frozen=True)
-class AuxGraph:
+class AuxGraph(Value):
     """Functional graph on black vertices: out-degree 1 except at the root."""
 
-    p: int
-    root: int
-    out: dict
+    __slots__ = _fields = ("p", "root", "out")
+
+    def __init__(self, p, root, out):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "out", out)
 
     def classify(self):
         """('tree', None) if every vertex reaches the root, else
@@ -252,12 +258,16 @@ def aux_graph(t):
     return AuxGraph(tree.p, root, out)
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Image-membership verdict for a permuted thorn tree."""
+class Classification(Value):
+    """Image-membership verdict for a permuted thorn tree: ``kind`` is
+    no_p1 | cycle | image, and ``cycle`` is the oriented cycle of the
+    auxiliary graph when ``kind`` is cycle."""
 
-    kind: str  # no_p1 | cycle | image
-    cycle: tuple = None
+    __slots__ = _fields = ("kind", "cycle")
+
+    def __init__(self, kind, cycle=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "cycle", cycle)
 
     def to_json_obj(self):
         d = {"kind": self.kind}
@@ -363,6 +373,8 @@ def proportion_stats(lam, budget=DEFAULT_PAIR_BUDGET):
     the trees satisfying (P1), and the P1 incidence is the share of trees
     satisfying (P1).  The closed forms are 1/(n-p+1), n/(p(n-p+1)) and p/n.
     """
+    from fractions import Fraction
+
     if lam.size < 1:
         raise ValueError("n must be >= 1")
     total = with_p1 = image = 0

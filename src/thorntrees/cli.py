@@ -4,33 +4,34 @@ and DOT exports.
 Exit codes: 0 pass, 1 fail, 2 refusal or usage error.  All numeric
 output is exact; stdout payloads are byte-stable across identical
 invocations (timing goes to stderr).
-"""
 
-from __future__ import annotations
+Each command imports the layer modules it runs when it runs, so a
+process loads only what its command needs.
+"""
 
 import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from importlib import import_module
 
-from . import bijection, counting, dot, oracle, structures, symfun
+from . import oracle
 from .oracle import BudgetExceeded
 from .partition import partitions_of
-from .structures import ParseError
 
 SOLVER_LIMIT = 40  # solve_B stays fast up to roughly this size
 
 
-@dataclass
 class RunReport:
     """Deterministic machine-readable result of one verification run."""
 
-    command: str
-    items: list = field(default_factory=list)
-    refused: str = None
-    wall_time: float = 0.0
+    __slots__ = ("command", "items", "refused", "wall_time")
+
+    def __init__(self, command, items=None, refused=None, wall_time=0.0):
+        self.command = command
+        self.items = [] if items is None else items
+        self.refused = refused
+        self.wall_time = wall_time
 
     def add(self, name, expected, actual, provenance):
         self.items.append({"actual": str(actual), "check": name,
@@ -57,6 +58,8 @@ class RunReport:
 
 
 def cmd_table(args):
+    from . import counting
+
     fam, n = args.family, args.n
     if args.parity is not None and fam in ("Bprime", "stirling"):
         raise ValueError("--parity keeps partitions of a given length parity;"
@@ -86,9 +89,9 @@ def cmd_table(args):
     else:
         table = counting.table_for(fam, n)
     if args.parity is not None:
-        table = replace(table, entries={
+        table = counting.CountTable(table.n, table.family, {
             lam: v for lam, v in table.entries.items()
-            if lam.length % 2 == args.parity % 2})
+            if lam.length % 2 == args.parity % 2}, table.provenance)
     if args.format == "json":
         print(json.dumps(table.to_json_obj(), sort_keys=True))
     else:
@@ -103,6 +106,8 @@ def _refuse_solver(n):
 
 
 def _table_Bprime(args):
+    from . import counting
+
     n = args.n
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -134,6 +139,8 @@ def _table_Bprime(args):
 
 
 def _suite_zagier(n, budget, report):
+    from . import counting
+
     if n > SOLVER_LIMIT:
         report.refused = "n=%d exceeds solver limit %d" % (n, SOLVER_LIMIT)
         return
@@ -151,6 +158,8 @@ def _suite_zagier(n, budget, report):
 
 
 def _suite_reformulation(n, budget, report):
+    from fractions import Fraction
+
     for lam in partitions_of(n):
         p = lam.length
         got = oracle.reformulation_probability(lam, budget)
@@ -159,12 +168,16 @@ def _suite_reformulation(n, budget, report):
 
 
 def _suite_identities(n, budget, report):
+    from . import symfun
+
     for rep in (symfun.verify_C2A(n), symfun.verify_D2B(n),
                 symfun.verify_reduction(n)):
         report.add(rep["check"], [], rep["diffs"], "formula")
 
 
 def _suite_bijection(n, budget, report):
+    from . import bijection, counting, structures
+
     for lam in partitions_of(n):
         preimage = {bijection.psi(m): m
                     for m in structures.all_star_maps(lam, budget)}
@@ -188,6 +201,10 @@ def _suite_bijection(n, budget, report):
 
 
 def _suite_proportions(n, budget, report):
+    from fractions import Fraction
+
+    from . import bijection
+
     for lam in partitions_of(n):
         p = lam.length
         P, Pp, P1 = bijection.proportion_stats(lam, budget)
@@ -199,9 +216,14 @@ def _suite_proportions(n, budget, report):
                    Fraction(p, n), P1, "oracle")
 
 
-SUITES = {"zagier": _suite_zagier, "reformulation": _suite_reformulation,
-          "identities": _suite_identities, "bijection": _suite_bijection,
-          "proportions": _suite_proportions}
+# suite -> (its function, the modules it imports); cmd_verify imports them
+# before its timer starts, so "wall time" times the suite alone
+SUITES = {"zagier": (_suite_zagier, "fractions", ".counting"),
+          "reformulation": (_suite_reformulation, "fractions"),
+          "identities": (_suite_identities, ".symfun"),
+          "bijection": (_suite_bijection, ".bijection", ".counting",
+                        ".structures"),
+          "proportions": (_suite_proportions, "fractions", ".bijection")}
 
 
 def cmd_verify(args):
@@ -210,9 +232,12 @@ def cmd_verify(args):
     if budget is None:
         budget = (oracle.default_budget("Bprime") if args.suite == "zagier"
                   else oracle.DEFAULT_PAIR_BUDGET)
+    suite, *modules = SUITES[args.suite]
+    for name in modules:
+        import_module(name, __package__)
     t0 = time.monotonic()
     try:
-        SUITES[args.suite](args.n, budget, report)
+        suite(args.n, budget, report)
     except BudgetExceeded as exc:
         report.refused = str(exc)
     report.wall_time = time.monotonic() - t0
@@ -226,20 +251,24 @@ def cmd_verify(args):
 
 
 KIND_NAMES = {
-    structures.BlackPartitionedStarMap: "black-partitioned star map",
-    structures.PermutedThornTree: "permuted thorn tree",
-    structures.StarThornTree: "star thorn tree",
-    structures.LabeledThornTree: "labeled thorn tree",
+    "BlackPartitionedStarMap": "black-partitioned star map",
+    "PermutedThornTree": "permuted thorn tree",
+    "StarThornTree": "star thorn tree",
+    "LabeledThornTree": "labeled thorn tree",
 }
 
 
 def _load(path, kind=None):
-    """Parse an object file; with ``kind`` given, refuse any other kind."""
+    """Parse an object file; with ``kind`` (a class name) given, refuse any
+    other kind."""
+    from .structures import ParseError, deserialize
+
     with open(path) as fh:
-        obj = structures.deserialize(fh.read())
-    if kind is not None and type(obj) is not kind:
+        obj = deserialize(fh.read())
+    found = type(obj).__name__
+    if kind is not None and found != kind:
         raise ParseError("expected a %s, found a %s"
-                         % (KIND_NAMES[kind], KIND_NAMES[type(obj)]))
+                         % (KIND_NAMES[kind], KIND_NAMES[found]))
     return obj
 
 
@@ -252,8 +281,10 @@ def _emit(args, text):
 
 
 def cmd_transform(args):
-    obj = _load(args.input, structures.BlackPartitionedStarMap
-                if args.direction == "psi" else structures.PermutedThornTree)
+    from . import bijection, structures
+
+    obj = _load(args.input, "BlackPartitionedStarMap"
+                if args.direction == "psi" else "PermutedThornTree")
     if args.direction == "psi":
         result = structures.serialize(bijection.psi(obj)) + "\n"
     elif args.direction == "invert":
@@ -278,7 +309,9 @@ def cmd_transform(args):
 
 
 def cmd_export_dot(args):
-    obj = _load(args.input, structures.PermutedThornTree if args.aux else None)
+    from . import bijection, dot
+
+    obj = _load(args.input, "PermutedThornTree" if args.aux else None)
     if args.aux:
         obj = bijection.aux_graph(obj)
     _emit(args, dot.to_dot(obj))
@@ -348,7 +381,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 2
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
+        # a ParseError is a ValueError; an OverflowError is an n too large
+        # for an exact formula (factorial refuses it)
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -9,15 +9,11 @@ Families over partitions of n:
 All arithmetic is exact; any non-integral intermediate raises.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
 from . import oracle
-from .partition import partitions_of
+from .partition import Value, partitions_of
 
 
 class InexactDivisionError(ArithmeticError):
@@ -80,14 +76,17 @@ def count_D(lam):
     return _exact_div(count_C(lam), lam.size - lam.length + 1)
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Values of one counting family over all partitions of n."""
+class CountTable(Value):
+    """Values of one counting family (A | B | C | D | ST) over all
+    partitions of n, with their provenance (formula | solver | oracle)."""
 
-    n: int
-    family: str  # A | B | C | D | ST
-    entries: dict
-    provenance: str = "formula"  # formula | solver | oracle
+    __slots__ = _fields = ("n", "family", "entries", "provenance")
+
+    def __init__(self, n, family, entries, provenance="formula"):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "provenance", provenance)
 
     def __getitem__(self, lam):
         return self.entries[lam]
@@ -146,6 +145,8 @@ def solve_B(n):
     every other lam' is lexicographically larger, hence already solved.
     Off-parity entries are 0.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("n must be >= 1")
     B = {}

@@ -5,8 +5,6 @@ Matched thorns of a permuted tree share a symbolic label (a, b, c, ...),
 the convention used for drawing the pairing.
 """
 
-from __future__ import annotations
-
 from .bijection import AuxGraph
 from .structures import (
     BlackPartitionedStarMap,

@@ -12,10 +12,7 @@ and only the per-type counters of a sweep are kept (memoised per n):
   tree sweep   every star thorn tree      -> ST by type
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 
@@ -183,6 +180,8 @@ def reformulation_probability(lam, budget=DEFAULT_PAIR_BUDGET):
     Counting couples uniformly equals the two-stage uniform choice because
     |S_pi| depends only on the type of pi.
     """
+    from fractions import Fraction
+
     C, D = enumerate_CD(lam, budget)
     return Fraction(D, C)
 

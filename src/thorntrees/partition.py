@@ -1,13 +1,53 @@
-"""Integer partitions and set partitions of {1..n}.
+"""Integer partitions and set partitions of {1..n}, and ``Value``, the
+base of the package's immutable value classes.
 
 Partitions are stored as weakly decreasing tuples of positive parts.
 Set partitions store their blocks sorted by minimum element.
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 from math import factorial, prod
+from operator import attrgetter
+
+
+class Value:
+    """Base of the immutable value classes: equality (same class, same
+    fields), hashing, repr and pickling are derived from ``_fields``.
+
+    A subclass lists its fields in ``_fields`` (and in ``__slots__``) and
+    sets each once, in ``__init__``, with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._key = property(attrgetter(*cls._fields))
+
+    def _immutable(self, *args):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __getstate__(self):  # copy and pickle: the fields, as they are
+        return self._key
+
+    def __setstate__(self, values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
 
 class Partition(tuple):
@@ -100,10 +140,10 @@ def partitions_of(n):
     yield from gen(n, n, [])
 
 
-class SetPartition:
+class SetPartition(Value):
     """Family of disjoint nonempty blocks covering {1..n}."""
 
-    __slots__ = ("n", "blocks")
+    __slots__ = _fields = ("n", "blocks")
 
     def __init__(self, n, blocks):
         blocks = tuple(tuple(sorted(b)) for b in blocks)
@@ -114,18 +154,8 @@ class SetPartition:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartition is immutable")
-
     def type_of(self):
         return Partition(sorted((len(b) for b in self.blocks), reverse=True))
-
-    def __eq__(self, other):
-        return (isinstance(other, SetPartition)
-                and self.n == other.n and self.blocks == other.blocks)
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
 
     def __repr__(self):
         return "SetPartition(%d, %r)" % (self.n, [list(b) for b in self.blocks])

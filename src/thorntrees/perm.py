@@ -4,15 +4,13 @@ All ground-set elements are 1-based. Permutations are immutable; the
 ``images`` tuple stores the image of k at index k-1.
 """
 
-from __future__ import annotations
-
-from .partition import Partition
+from .partition import Partition, Value
 
 
-class Permutation:
+class Permutation(Value):
     """A bijection of {1..n}, stored as a 1-based image array."""
 
-    __slots__ = ("n", "images")
+    __slots__ = _fields = ("n", "images")
 
     def __init__(self, images):
         images = tuple(images)
@@ -21,9 +19,6 @@ class Permutation:
             raise ValueError("images is not a bijection of {1..%d}: %r" % (n, images))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @classmethod
     def identity(cls, n):
@@ -47,12 +42,6 @@ class Permutation:
 
     def __call__(self, k):
         return self.images[k - 1]
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
 
     def __repr__(self):
         cycles = self.cycles()

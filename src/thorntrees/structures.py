@@ -11,15 +11,12 @@ counter-clockwise order starting right after the root edge; the
 clockwise reading used for cycle recovery is the reverse traversal.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count, permutations as iperm
 
 from .oracle import DEFAULT_PAIR_BUDGET, _check, _each_beta, _long_complement
-from .partition import Partition, SetPartition, set_partitions_of_type
+from .partition import Partition, SetPartition, Value, set_partitions_of_type
 from .perm import Permutation, canonical_long_cycle
 
 
@@ -27,29 +24,40 @@ class ParseError(ValueError):
     """Malformed serialized object; carries a human-readable position."""
 
 
-@dataclass(frozen=True)
-class StarThornTree:
+def _require_ints(values, what):
+    """The public constructors' form of ``_int``'s rule: a bool, a float
+    or a string is refused, not coerced."""
+    for x in values:
+        if type(x) is not int:
+            raise ValueError("%s must be integers, found %r" % (what, x))
+
+
+class StarThornTree(Value):
     """Ordered star thorn tree: white slot layout plus black thorn counts.
 
     ``white``: tuple of length n; entry is a black index for an edge slot,
     None for a thorn.  ``blacks``: per-black thorn count.
     """
 
-    white: tuple
-    blacks: tuple
+    _fields = ("white", "blacks")
+    __slots__ = _fields + ("__dict__",)  # the dict caches _edge_slots
 
-    def __post_init__(self):
-        edges = [b for b in self.white if b is not None]
-        if edges != list(range(len(self.blacks))):
+    def __init__(self, white, blacks):
+        edges = [b for b in white if b is not None]
+        _require_ints(edges, "edge slots")
+        _require_ints(blacks, "thorn counts")
+        if edges != list(range(len(blacks))):
             raise ValueError(
                 "edge slots must reference blacks 0..p-1 in root order: %r"
-                % (self.white,))
-        n = len(self.white)
-        if sum(1 + t for t in self.blacks) != n:
+                % (white,))
+        n = len(white)
+        if sum(1 + t for t in blacks) != n:
             raise ValueError("degree sum %d != n=%d"
-                             % (sum(1 + t for t in self.blacks), n))
-        if any(t < 0 for t in self.blacks):
+                             % (sum(1 + t for t in blacks), n))
+        if any(t < 0 for t in blacks):
             raise ValueError("negative thorn count")
+        object.__setattr__(self, "white", white)
+        object.__setattr__(self, "blacks", blacks)
 
     @property
     def n(self):
@@ -80,27 +88,28 @@ class StarThornTree:
         return tuple((b, t) for b in range(self.p) for t in range(self.blacks[b]))
 
 
-@dataclass(frozen=True)
-class PermutedThornTree:
+class PermutedThornTree(Value):
     """Star thorn tree plus a bijection sigma between white and black thorns.
 
     ``sigma``: tuple of (white_slot, (black, thorn_index)) pairs, sorted by
     white slot.
     """
 
-    tree: StarThornTree
-    sigma: tuple
+    __slots__ = _fields = ("tree", "sigma")
 
-    def __post_init__(self):
-        sigma = tuple(sorted((int(w), (int(b), int(t)))
-                             for w, (b, t) in self.sigma))
-        object.__setattr__(self, "sigma", sigma)
+    def __init__(self, tree, sigma):
+        pairs = [(w, (b, t)) for w, (b, t) in sigma]
+        _require_ints([x for w, (b, t) in pairs for x in (w, b, t)],
+                      "sigma entries")
+        sigma = tuple(sorted(pairs))
         wslots = tuple(w for w, _ in sigma)
-        if wslots != self.tree.white_thorn_slots():
+        if wslots != tree.white_thorn_slots():
             raise ValueError("sigma domain must be the white thorn slots")
         targets = sorted(bt for _, bt in sigma)
-        if targets != sorted(self.tree.black_thorn_coords()):
+        if targets != sorted(tree.black_thorn_coords()):
             raise ValueError("sigma range must be the black thorn coordinates")
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def n(self):
@@ -113,20 +122,20 @@ class PermutedThornTree:
         return dict(self.sigma)
 
 
-@dataclass(frozen=True)
-class BlackPartitionedStarMap:
+class BlackPartitionedStarMap(Value):
     """Couple (beta, pi) with pi coarser than the orbits of beta.
 
     alpha is derived as (1 2 .. n) * beta^{-1}; the map is a *star* map
     when alpha is a long cycle.
     """
 
-    beta: Permutation
-    pi: SetPartition
+    __slots__ = _fields = ("beta", "pi")
 
-    def __post_init__(self):
-        if self.beta.n != self.pi.n:
+    def __init__(self, beta, pi):
+        if beta.n != pi.n:
             raise ValueError("size mismatch between beta and pi")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "pi", pi)
         self.cycles_by_block()
 
     @property
@@ -166,32 +175,34 @@ class BlackPartitionedStarMap:
         return self.pi.type_of()
 
 
-@dataclass(frozen=True)
-class LabeledThornTree:
+class LabeledThornTree(Value):
     """Star thorn tree whose white slots and black thorns carry labels 1..n.
 
     The white labels, read right to left, spell the alpha-orbit starting
-    at 1.  An edge shares the label of its white slot.
+    at 1.  An edge shares the label of its white slot.  ``black_labels``
+    holds, per black vertex, its thorn labels in ccw storage order.
     """
 
-    tree: StarThornTree
-    white_labels: tuple
-    black_labels: tuple  # per black vertex, thorn labels in ccw storage order
+    __slots__ = _fields = ("tree", "white_labels", "black_labels")
 
-    def __post_init__(self):
-        n = self.tree.n
-        if sorted(self.white_labels) != list(range(1, n + 1)):
+    def __init__(self, tree, white_labels, black_labels):
+        n = tree.n
+        flat = [lab for labs in black_labels for lab in labs]
+        _require_ints(white_labels, "white labels")
+        _require_ints(flat, "black labels")
+        if sorted(white_labels) != list(range(1, n + 1)):
             raise ValueError("white labels must be a bijection with {1..n}")
-        flat = [lab for labs in self.black_labels for lab in labs]
-        edge_labels = [self.white_labels[self.tree.edge_slot(b)]
-                       for b in range(self.tree.p)]
+        edge_labels = [white_labels[tree.edge_slot(b)] for b in range(tree.p)]
         if sorted(flat + edge_labels) != list(range(1, n + 1)):
             raise ValueError("black-side labels must be a bijection with {1..n}")
-        for b in range(self.tree.p):
-            if len(self.black_labels[b]) != self.tree.blacks[b]:
+        for b in range(tree.p):
+            if len(black_labels[b]) != tree.blacks[b]:
                 raise ValueError("black label count mismatch at vertex %d" % b)
-        if self.white_labels[n - 1] != 1:
+        if white_labels[n - 1] != 1:
             raise ValueError("rightmost white slot must carry label 1")
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "white_labels", white_labels)
+        object.__setattr__(self, "black_labels", black_labels)
 
     def edge_label(self, b):
         return self.white_labels[self.tree.edge_slot(b)]
@@ -375,11 +386,16 @@ def _int(x):
 
 def _tree_from_obj(d):
     white = []
+    rank = 0  # a white thorn's rank is its order among the white thorns
     for slot in d["white"]:
         if "edge" in slot:
             white.append(_int(slot["edge"]))
         elif "thorn" in slot:
+            if _int(slot["thorn"]) != rank:
+                raise ParseError("white thorn rank %d out of order: "
+                                 "expected %d" % (slot["thorn"], rank))
             white.append(None)
+            rank += 1
         else:
             raise ParseError("white slot must be an edge or a thorn: %r"
                              % (slot,))

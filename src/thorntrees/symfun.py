@@ -7,34 +7,32 @@ ways to drop the parts of nu into the parts of lam, filling each exactly
 system these counts form.  ``evaluate`` checks both directions.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iperm
 from math import factorial
 
 from .counting import count_A, count_C, count_D, solve_B
-from .partition import Partition, partitions_of
+from .partition import Partition, Value, partitions_of
 
 
-@dataclass(frozen=True)
-class SymPoly:
-    """Homogeneous symmetric polynomial tagged with its basis."""
+class SymPoly(Value):
+    """Homogeneous symmetric polynomial tagged with its basis: ``basis`` is
+    "m" (monomial) or "p" (power sum), and ``coeffs`` maps a Partition to
+    its Fraction coefficient (zero entries may be omitted)."""
 
-    degree: int
-    basis: str  # "m" (monomial) | "p" (power sum)
-    coeffs: dict  # Partition -> Fraction; zero entries may be omitted
+    __slots__ = _fields = ("degree", "basis", "coeffs")
 
-    def __post_init__(self):
-        if self.basis not in ("m", "p"):
+    def __init__(self, degree, basis, coeffs):
+        if basis not in ("m", "p"):
             raise ValueError("basis must be 'm' or 'p'")
-        clean = {lam: Fraction(c) for lam, c in self.coeffs.items()
+        clean = {lam: Fraction(c) for lam, c in coeffs.items()
                  if Fraction(c) != 0}
         for lam in clean:
-            if lam.size != self.degree:
+            if lam.size != degree:
                 raise ValueError("index %r has wrong degree" % (lam,))
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", clean)
 
     def __getitem__(self, lam):
@@ -55,11 +53,6 @@ class SymPoly:
         c = Fraction(c)
         return SymPoly(self.degree, self.basis,
                        {lam: c * v for lam, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, SymPoly)
-                and (self.degree, self.basis) == (other.degree, other.basis)
-                and self.coeffs == other.coeffs)
 
 
 @lru_cache(maxsize=None)

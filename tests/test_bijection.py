@@ -276,11 +276,24 @@ def test_psi_inverse_outcomes_pinned(n):
     import hashlib
     import json
 
-    lines = sorted(
-        serialize(t) + " " + json.dumps(psi_inverse(t).to_json_obj(),
-                                        sort_keys=True, separators=(",", ":"))
-        for lam in partitions_of(n) for t in all_permuted_trees(lam))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    lines = []
+    for lam in partitions_of(n):
+        for t in all_permuted_trees(lam):
+            out = psi_inverse(t)
+            lines.append(serialize(t) + " " + json.dumps(
+                out.to_json_obj(), sort_keys=True, separators=(",", ":")))
+            if out.success:
+                # the inverse builds its results without validation; every
+                # one must equal its rebuild through the public constructors
+                m, lt = out.map, out.labeled
+                rebuilt = BlackPartitionedStarMap(
+                    Permutation(m.beta.images), SetPartition(n, m.pi.blocks))
+                assert rebuilt == m and hash(rebuilt) == hash(m)
+                rebuilt = LabeledThornTree(
+                    StarThornTree(lt.tree.white, lt.tree.blacks),
+                    lt.white_labels, lt.black_labels)
+                assert rebuilt == lt and hash(rebuilt) == hash(lt)
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
     assert digest == INVERSE_OUTCOMES_SHA256[n]
 
 

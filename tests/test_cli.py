@@ -314,6 +314,8 @@ TABLE_STDOUT_SHA256 = {
         0, "3a4a79970ddeaec1e94e0061bf9f929f7ffdd6777637eb4e6fa21fadc2d7e18a"),
     ('A', '0', '--parity', '0'): (
         0, "71a1c90752b40f2201d77e31b0cd62eeff9eb8694058df30e2ea51aa03aa162e"),
+    ('B', '8'): (
+        0, "62c93c3ad634e334e35ac73240b065c74b4d63f2c0145b8320fb4d1ed842ce1a"),
 }
 
 
@@ -638,7 +640,8 @@ INT_FIELDS = (
                                   ("blacks", 0, "thorns"), ("sigma", 0, 0),
                                   ("sigma", 0, 1, 0), ("sigma", 0, 1, 1))]
     + [("labeled", path) for path in (("white_labels", 0),
-                                      ("black_labels", 0, 0), ("tree", "n"))])
+                                      ("black_labels", 0, 0), ("tree", "n"))]
+    + [("ex1", ("white", 1, "thorn"))])
 
 
 @pytest.mark.parametrize("value", [True, 2.5, "2"])
@@ -664,3 +667,57 @@ def test_readme_cli_examples_run(capsys, monkeypatch):
     for argv in lines:
         code, out, _ = run(capsys, *argv[1:])
         assert code == 0 and out, argv
+
+
+def test_thorn_ranks_out_of_order_are_refused(tmp_path, capsys):
+    obj = json.loads((FIXTURES / "ex1.json").read_text())
+    obj["white"][1]["thorn"], obj["white"][3]["thorn"] = 1, 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "transform", "classify", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: white thorn rank 1 out of order: expected 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", family, "99999999999999999999"] for family in "ACD"]
+    + [["verify", "identities", "99999999999999999999"]])
+def test_n_too_large_for_factorial_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# stdout of `verify zagier 8`, captured before the CLI imported its layers
+# lazily
+ZAGIER_8_STDOUT_SHA256 = (
+    "02863795947dbf29a01ea4353e63efea46504398ce487ecfb15e0f1f64d2bf96")
+
+OPTIMIZED_RUNS = [
+    (["table", "B", "8"], TABLE_STDOUT_SHA256["B", "8"]),
+    (["verify", "zagier", "8"], (0, ZAGIER_8_STDOUT_SHA256)),
+    (["transform", "psi", "fixtures/example21.json"],
+     TRANSFORM_STDOUT_SHA256["psi", "example21.json"]),
+    (["transform", "invert", "fixtures/ex1.json"],
+     TRANSFORM_STDOUT_SHA256["invert", "ex1.json"]),
+    (["transform", "classify", "fixtures/selfloop4.json"],
+     TRANSFORM_STDOUT_SHA256["classify", "selfloop4.json"]),
+    (["export-dot", "--aux", "fixtures/ex1.json"],
+     EXPORT_DOT_STDOUT_SHA256[("--aux",), "ex1.json"]),
+]
+
+
+@pytest.mark.parametrize("argv,pinned", OPTIMIZED_RUNS)
+def test_stdout_pins_hold_under_python_O(argv, pinned):
+    """python -O strips assert statements: the CLI must not depend on
+    them.  Only the child runs under -O, so this test's own asserts hold."""
+    import os
+    import subprocess
+    import sys
+
+    root = FIXTURES.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-O", "-m", "thorntrees.cli",
+                           *argv], cwd=root, env=env, capture_output=True)
+    assert (done.returncode, hashlib.sha256(done.stdout).hexdigest()) \
+        == pinned

@@ -209,3 +209,71 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         deserialize('{"n":3,"white":[{"edge":0},{"bogus":1}],'
                     '"blacks":[{"thorns":2}]}')
+
+
+# each integer field of the public tree constructors, as a function of the
+# value to put there, with the value that makes the object valid
+def _star_edge(x):
+    return StarThornTree((x, None), (1,))
+
+
+def _star_thorns(x):
+    return StarThornTree((0, None), (x,))
+
+
+def _sigma(i):
+    def build(x):
+        entry = [1, 0, 0]
+        entry[i] = x
+        w, b, t = entry
+        return PermutedThornTree(StarThornTree((0, None), (1,)),
+                                 ((w, (b, t)),))
+    return build
+
+
+def _white_label(x):
+    return LabeledThornTree(StarThornTree((0, None), (1,)), (x, 1), ((1,),))
+
+
+def _black_label(x):
+    return LabeledThornTree(StarThornTree((0, None), (1,)), (2, 1), ((x,),))
+
+
+@pytest.mark.parametrize("build,valid", [
+    (_star_edge, 0), (_star_thorns, 1), (_sigma(0), 1), (_sigma(1), 0),
+    (_sigma(2), 0), (_white_label, 2), (_black_label, 1)])
+def test_constructors_refuse_non_integers(build, valid):
+    build(valid)
+    for bad in (float(valid), valid + 0.9, True, False, 2.5, str(valid)):
+        with pytest.raises(ValueError, match="must be integers"):
+            build(bad)
+
+
+def test_old_coercion_reproducers_are_refused():
+    with pytest.raises(ValueError, match="sigma entries"):
+        PermutedThornTree(StarThornTree((None, 0), (1,)), ((0.9, (0, 0)),))
+    with pytest.raises(ValueError, match="edge slots"):
+        StarThornTree((0.0, None), (1.0,))
+
+
+def test_trusted_objects_are_not_validated():
+    from thorntrees.structures import _trusted
+
+    tree = _trusted(StarThornTree, white=(0.0, None), blacks=(1.0,))
+    assert tree.blacks == (1.0,)
+
+
+@pytest.mark.parametrize("ranks", [("x", 1, 2), (1, 0, 2), (0, 1, 1),
+                                   (0, 2, 1), (0, 1, 3), (-1, 1, 2)])
+def test_thorn_ranks_are_read(ranks):
+    import json
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    obj = json.loads((root / "ex1.json").read_text())
+    thorns = [slot for slot in obj["white"] if "thorn" in slot]
+    assert [slot["thorn"] for slot in thorns] == [0, 1, 2]
+    for slot, rank in zip(thorns, ranks):
+        slot["thorn"] = rank
+    with pytest.raises(ParseError):
+        deserialize(json.dumps(obj))

@@ -12,7 +12,7 @@ that edge's black vertex (P2).
 from itertools import chain
 
 from .oracle import DEFAULT_PAIR_BUDGET
-from .partition import SetPartition, Value
+from .partition import SetPartition, Value, _trusted
 from .perm import Permutation
 from .structures import (
     BlackPartitionedStarMap,
@@ -20,7 +20,6 @@ from .structures import (
     StarThornTree,
     _black_lists,
     _pack,
-    _trusted,
     _unpack,
     all_permuted_trees,
     to_json_obj,

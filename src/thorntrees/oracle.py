@@ -4,12 +4,21 @@ Everything here iterates over complete search spaces and counts exactly;
 no formulas, no sampling.  Budgets guard against accidental huge sweeps
 and are enforced by refusal, never by truncation, before any sweep runs.
 
-Each search space is swept once per n, over plain 0-based image tuples,
-and only the per-type counters of a sweep are kept (memoised per n):
+Each search space is swept once per n, permutations as plain 0-based
+image tuples, and only the per-type counters of a sweep are kept
+(memoised per n):
 
   S_n sweep    every beta in S_n          -> A and B by type, B' by cycles
-  pair sweep   every (pi, beta in S_pi)   -> C and D by the type of pi
+  pair sweep   every set partition of the -> C and D by the type of pi
+               cycles, per cycle type
   tree sweep   every star thorn tree      -> ST by type
+
+The pair sweep covers the couples (pi, beta in S_pi) without a second
+walk over S_n: beta lies in S_pi exactly when every block of pi is a
+union of beta's cycles, so the couples of one beta are the set
+partitions of its cycles, and every beta of one cycle type mu has the
+same ones.  Each set partition of mu's cycles is visited once and
+counted A[mu] times in C and B[mu] times in D, the S_n sweep's counts.
 """
 
 from collections import Counter
@@ -98,17 +107,20 @@ def _each_beta(pi):
 
 @cache
 def _pair_sweep(n):
-    """(C, D) by the type of pi, from one pass over every couple
-    (pi, beta in S_pi); D counts the couples with a long complement."""
+    """(C, D) by the type of pi, read off the S_n sweep: for each cycle
+    type mu, every set partition of mu's cycles is one couple for each of
+    the A[mu] permutations of type mu, of the type its merged cycle
+    lengths give; B[mu] of those couples have a long complement."""
+    A, B, _ = _sn_sweep(n)
     C, D = Counter(), Counter()
-    images = list(range(n))
-    for lam in partitions_of(n):
-        for pi in set_partitions_of_type(lam):
-            blocks = [[x - 1 for x in b] for b in pi.blocks]
-            for _ in _in_place(images, blocks):
-                C[lam] += 1
-                if _long_complement(images):
-                    D[lam] += 1
+    for mu, a in A.items():
+        b = B[mu]
+        for rho in partitions_of(len(mu)):
+            for sigma in set_partitions_of_type(rho):
+                lam = tuple(sorted((sum(mu[i - 1] for i in block)
+                                    for block in sigma.blocks), reverse=True))
+                C[lam] += a
+                D[lam] += b
     return C, D
 
 

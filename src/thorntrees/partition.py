@@ -50,6 +50,22 @@ class Value:
             object.__setattr__(self, name, value)
 
 
+def _trusted(cls, **fields):
+    """An instance of ``cls`` built valid by construction: no validation."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _require_ints(values, what):
+    """Refuse a bool, a float or a string among ``values`` rather than
+    coerce it: the public constructors' check on their elements."""
+    if set(map(type, values)) - {int}:
+        bad = next(x for x in values if type(x) is not int)
+        raise ValueError("%s must be integers, found %r" % (what, bad))
+
+
 class Partition(tuple):
     """Weakly decreasing sequence of positive integer parts: a validated
     tuple, equal to and hashing like the plain tuple of its parts."""
@@ -146,6 +162,12 @@ class SetPartition(Value):
     __slots__ = _fields = ("n", "blocks")
 
     def __init__(self, n, blocks):
+        if type(n) is not int:
+            raise ValueError("n must be an integer, found %r" % (n,))
+        blocks = [tuple(b) for b in blocks]
+        _require_ints([x for b in blocks for x in b], "block elements")
+        if not all(blocks):
+            raise ValueError("blocks must be nonempty: %r" % (blocks,))
         blocks = tuple(tuple(sorted(b)) for b in blocks)
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
         flat = [x for b in blocks for x in b]
@@ -165,12 +187,15 @@ def set_partitions_of_type(lam):
     """All set partitions of {1..|lam|} whose sorted block sizes equal lam.
 
     Duplicate-free: each block is anchored at its smallest unused element.
+    Every block is built sorted and the blocks come in order of their
+    minima, so each set partition is valid by construction and built
+    without validation.
     """
     n = lam.size
 
     def gen(remaining, sizes):
         if not remaining:
-            yield []
+            yield ()
             return
         anchor = remaining[0]
         rest = remaining[1:]
@@ -185,10 +210,10 @@ def set_partitions_of_type(lam):
                 block = (anchor,) + others
                 left = tuple(x for x in rest if x not in others)
                 for tail in gen(left, sub):
-                    yield [block] + tail
+                    yield (block,) + tail
 
     for blocks in gen(tuple(range(1, n + 1)), list(lam)):
-        yield SetPartition(n, blocks)
+        yield _trusted(SetPartition, n=n, blocks=blocks)
 
 
 def permutations_in(pi):

@@ -4,7 +4,7 @@ All ground-set elements are 1-based. Permutations are immutable; the
 ``images`` tuple stores the image of k at index k-1.
 """
 
-from .partition import Partition, Value
+from .partition import Partition, Value, _require_ints
 
 
 class Permutation(Value):
@@ -14,6 +14,7 @@ class Permutation(Value):
 
     def __init__(self, images):
         images = tuple(images)
+        _require_ints(images, "images")
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError("images is not a bijection of {1..%d}: %r" % (n, images))

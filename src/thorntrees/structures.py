@@ -16,20 +16,19 @@ from functools import cached_property
 from itertools import combinations, count, permutations as iperm
 
 from .oracle import DEFAULT_PAIR_BUDGET, _check, _each_beta, _long_complement
-from .partition import Partition, SetPartition, Value, set_partitions_of_type
+from .partition import (
+    Partition,
+    SetPartition,
+    Value,
+    _require_ints,
+    _trusted,
+    set_partitions_of_type,
+)
 from .perm import Permutation, canonical_long_cycle
 
 
 class ParseError(ValueError):
     """Malformed serialized object; carries a human-readable position."""
-
-
-def _require_ints(values, what):
-    """The public constructors' form of ``_int``'s rule: a bool, a float
-    or a string is refused, not coerced."""
-    for x in values:
-        if type(x) is not int:
-            raise ValueError("%s must be integers, found %r" % (what, x))
 
 
 class StarThornTree(Value):
@@ -198,7 +197,7 @@ class LabeledThornTree(Value):
         for b in range(tree.p):
             if len(black_labels[b]) != tree.blacks[b]:
                 raise ValueError("black label count mismatch at vertex %d" % b)
-        if white_labels[n - 1] != 1:
+        if n < 1 or white_labels[n - 1] != 1:
             raise ValueError("rightmost white slot must carry label 1")
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "white_labels", white_labels)
@@ -224,14 +223,6 @@ class LabeledThornTree(Value):
 
 # ---------------------------------------------------------------------------
 # Generation
-
-
-def _trusted(cls, **fields):
-    """An instance of ``cls`` built valid by construction: no validation."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def all_star_thorn_trees(mu):
@@ -261,8 +252,8 @@ def all_permuted_trees(lam, budget=DEFAULT_PAIR_BUDGET):
 
 def all_star_maps(lam, budget=DEFAULT_PAIR_BUDGET):
     """Every black-partitioned star map of type lam (alpha a long cycle):
-    the couples (pi, beta in S_pi) are walked in place, as in the oracle's
-    pair sweep, and a map is built only when alpha is long.  Needs n >= 1.
+    the couples (pi, beta in S_pi) are walked in place, and a map is built
+    only when alpha is long.  Needs n >= 1.
     """
     n = lam.size
     _check(n, budget, "map")

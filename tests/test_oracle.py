@@ -6,6 +6,7 @@ import pytest
 from thorntrees.counting import count_C, count_D, solve_B, stirling1_unsigned
 from thorntrees.oracle import (
     BudgetExceeded,
+    _each_beta,
     enumerate_A,
     enumerate_B,
     enumerate_Bprime,
@@ -13,8 +14,13 @@ from thorntrees.oracle import (
     enumerate_ST,
     reformulation_probability,
 )
-from thorntrees.partition import Partition, partitions_of
+from thorntrees.partition import (
+    Partition,
+    partitions_of,
+    set_partitions_of_type,
+)
 from thorntrees.perm import all_permutations, canonical_long_cycle
+from thorntrees.structures import all_star_maps
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -95,6 +101,23 @@ def test_zagier_by_brute_force_at_8():
 def test_enumerate_CD_matches_formulas_at_7():
     for lam in partitions_of(7):
         assert enumerate_CD(lam, budget=7) == (count_C(lam), count_D(lam))
+
+
+def test_enumerate_CD_matches_formulas_at_8():
+    lams = list(partitions_of(8))
+    assert len(lams) == 22
+    for lam in lams:
+        assert enumerate_CD(lam, budget=8) == (count_C(lam), count_D(lam))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumerate_CD_matches_couple_walk(n):
+    # Reference: every couple (pi, beta in S_pi) walked one by one, and
+    # every star map built; the pair sweep reads both off the S_n sweep
+    for lam in partitions_of(n):
+        C = sum(1 for pi in set_partitions_of_type(lam) for _ in _each_beta(pi))
+        D = sum(1 for _ in all_star_maps(lam))
+        assert enumerate_CD(lam) == (C, D)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

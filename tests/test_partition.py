@@ -96,6 +96,31 @@ def test_set_partition_validation():
         SetPartition(3, [[1, 2]])
     with pytest.raises(ValueError):
         SetPartition(3, [[1, 2], [2, 3]])
+    with pytest.raises(ValueError, match="nonempty"):
+        SetPartition(2, [[1, 2], []])
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_set_partition_refuses_non_integers(bad):
+    SetPartition(2, [[1], [2]])
+    with pytest.raises(ValueError, match="block elements must be integers"):
+        SetPartition(2, [[bad], [2]])
+    with pytest.raises(ValueError, match="block elements must be integers"):
+        SetPartition(2, [[2, bad]])
+    with pytest.raises(ValueError, match="n must be an integer"):
+        SetPartition(bad, [[1]])
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_set_partitions_of_type_are_valid_by_construction(n):
+    # built without validation: each equals, and hashes like, the set
+    # partition the validating constructor makes from the same blocks
+    for lam in partitions_of(n):
+        for sp in set_partitions_of_type(lam):
+            rebuilt = SetPartition(sp.n, [list(b) for b in reversed(sp.blocks)])
+            assert sp == rebuilt and hash(sp) == hash(rebuilt)
+            assert type(sp.blocks) is tuple
+            assert all(type(b) is tuple for b in sp.blocks)
 
 
 def test_partition_validation():

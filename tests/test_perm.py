@@ -91,6 +91,13 @@ def test_invalid_images_rejected():
         Permutation([1, 1, 3])
 
 
+@pytest.mark.parametrize("images", [[True, 2.0], [2.0, True], [1, 2.0],
+                                    [True], [1, "2"], [2, 1.5]])
+def test_non_integer_images_rejected(images):
+    with pytest.raises(ValueError, match="images must be integers"):
+        Permutation(images)
+
+
 @given(st.integers(1, 6), st.randoms(use_true_random=False))
 def test_associativity_and_inverse_laws(n, rnd):
     def rand_perm():

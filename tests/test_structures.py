@@ -118,6 +118,8 @@ def test_labeled_tree_validation():
     with pytest.raises(ValueError, match="black-side"):
         LabeledThornTree(tree, (2, 1), ((1,),))
     LabeledThornTree(tree, (2, 1), ((2,),))
+    with pytest.raises(ValueError, match="label 1"):  # no rightmost slot
+        LabeledThornTree(StarThornTree((), ()), (), ())
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -254,10 +256,16 @@ def test_old_coercion_reproducers_are_refused():
         PermutedThornTree(StarThornTree((None, 0), (1,)), ((0.9, (0, 0)),))
     with pytest.raises(ValueError, match="edge slots"):
         StarThornTree((0.0, None), (1.0,))
+    with pytest.raises(ValueError, match="images"):
+        BlackPartitionedStarMap(Permutation([2.0, True]),
+                                SetPartition(2, [[1, 2]]))
+    with pytest.raises(ValueError, match="block elements"):
+        BlackPartitionedStarMap(Permutation([2, 1]),
+                                SetPartition(2, [[1.0, 2]]))
 
 
 def test_trusted_objects_are_not_validated():
-    from thorntrees.structures import _trusted
+    from thorntrees.partition import _trusted
 
     tree = _trusted(StarThornTree, white=(0.0, None), blacks=(1.0,))
     assert tree.blacks == (1.0,)

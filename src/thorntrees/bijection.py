@@ -211,26 +211,6 @@ class AuxGraph(Value):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "out", out)
 
-    def classify(self):
-        """('tree', None) if every vertex reaches the root, else
-        ('cycle', vertices) for some oriented cycle."""
-        status = {self.root: "ok"}
-        for start in range(self.p):
-            path = []
-            v = start
-            while status.get(v) is None:
-                path.append(v)
-                status[v] = "active"
-                v = self.out[v]
-            if status[v] == "active":
-                cycle = path[path.index(v):]
-                for u in path:
-                    status[u] = "cycle"
-                return ("cycle", cycle)
-            for u in path:
-                status[u] = "ok"
-        return ("tree", None)
-
 
 def aux_graph(t):
     """Successor graph of a permuted thorn tree satisfying (P1).
@@ -242,19 +222,15 @@ def aux_graph(t):
     tree = t.tree
     if tree.n == 0 or tree.white[0] is None:
         raise NoP1Error("leftmost root slot is not an edge")
-    root = tree.white[0]
     sigma = t.sigma_map()
     out = {}
-    for b in range(tree.p):
-        if b == root:
-            continue
-        s = tree.edge_slot(b)
-        if s == 0:
-            raise AssertionError("only the root's edge can occupy the "
-                                 "leftmost slot")
-        v = tree.white[s - 1]
-        out[b] = v if v is not None else sigma[s - 1][0]
-    return AuxGraph(tree.p, root, out)
+    # slot 0 holds the root's edge; the other edges follow in root order
+    for s in range(1, tree.n):
+        b = tree.white[s]
+        if b is not None:
+            v = tree.white[s - 1]
+            out[b] = v if v is not None else sigma[s - 1][0]
+    return AuxGraph(tree.p, tree.white[0], out)
 
 
 class Classification(Value):
@@ -276,15 +252,29 @@ class Classification(Value):
 
 
 def classify(t):
-    """Image iff (P1) holds and the auxiliary graph is a rooted tree."""
+    """Image iff (P1) holds and the auxiliary graph is a rooted tree.
+
+    Follows each vertex's successors until a vertex already known to
+    reach the root, or one already on the current path: that closes the
+    oriented cycle the verdict names.
+    """
     try:
         g = aux_graph(t)
     except NoP1Error:
         return Classification("no_p1")
-    verdict, cycle = g.classify()
-    if verdict == "tree":
-        return Classification("image")
-    return Classification("cycle", tuple(cycle))
+    reaches_root = {g.root: True}  # False: on the current path
+    for start in range(g.p):
+        path = []
+        v = start
+        while v not in reaches_root:
+            reaches_root[v] = False
+            path.append(v)
+            v = g.out[v]
+        if not reaches_root[v]:
+            return Classification("cycle", tuple(path[path.index(v):]))
+        for u in path:
+            reaches_root[u] = True
+    return Classification("image")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,13 @@ from .partition import partitions_of
 SOLVER_LIMIT = 40  # solve_B stays fast up to roughly this size
 
 
+def _check_solver(n):
+    """Refuse an n beyond the solver limit, before any work."""
+    if n > SOLVER_LIMIT:
+        raise BudgetExceeded("n=%d exceeds solver limit %d"
+                             % (n, SOLVER_LIMIT))
+
+
 class RunReport:
     """Deterministic machine-readable result of one verification run."""
 
@@ -83,8 +90,7 @@ def cmd_table(args):
                   else args.budget)
         table = counting.table_for(fam, n, budget)
     elif fam == "B":
-        if n > SOLVER_LIMIT:
-            return _refuse_solver(n)
+        _check_solver(n)
         table = counting.solve_B(n)
     else:
         table = counting.table_for(fam, n)
@@ -97,12 +103,6 @@ def cmd_table(args):
     else:
         sys.stdout.write(table.to_csv())
     return 0
-
-
-def _refuse_solver(n):
-    print("refused: n=%d exceeds solver limit %d" % (n, SOLVER_LIMIT),
-          file=sys.stderr)
-    return 2
 
 
 def _table_Bprime(args):
@@ -118,8 +118,7 @@ def _table_Bprime(args):
                   for m in range(1, n + 1)]
         provenance = "oracle"
     else:
-        if n > SOLVER_LIMIT:
-            return _refuse_solver(n)
+        _check_solver(n)
         values = counting._bprime_row(n)[1:]
         provenance = "solver"
     if args.format == "json":
@@ -141,9 +140,7 @@ def _table_Bprime(args):
 def _suite_zagier(n, budget, report):
     from . import counting
 
-    if n > SOLVER_LIMIT:
-        report.refused = "n=%d exceeds solver limit %d" % (n, SOLVER_LIMIT)
-        return
+    _check_solver(n)
     rows = counting.verify_zagier(n)
     for row in rows:
         lhs = n * (n + 1) // 2 * row["Bprime"]

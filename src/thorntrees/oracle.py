@@ -11,7 +11,9 @@ image tuples, and only the per-type counters of a sweep are kept
   S_n sweep    every beta in S_n          -> A and B by type, B' by cycles
   pair sweep   every set partition of the -> C and D by the type of pi
                cycles, per cycle type
-  tree sweep   every star thorn tree      -> ST by type
+
+ST has no sweep of its own: it counts the trees that
+``structures.all_star_thorn_trees`` builds, each tree once, per type.
 
 The pair sweep covers the couples (pi, beta in S_pi) without a second
 walk over S_n: beta lies in S_pi exactly when every block of pi is a
@@ -23,7 +25,7 @@ counted A[mu] times in C and B[mu] times in D, the S_n sweep's counts.
 
 from collections import Counter
 from functools import cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .partition import partitions_of, set_partitions_of_type
 
@@ -85,26 +87,6 @@ def _sn_sweep(n):
     return A, B, Bp
 
 
-def _in_place(images, blocks, i=0):
-    """Run through S_pi, writing each beta into ``images`` block by block;
-    yields once per beta, with ``images`` holding it."""
-    if i == len(blocks):
-        yield
-        return
-    block = blocks[i]
-    for target in permutations(block):
-        for src, dst in zip(block, target):
-            images[src] = dst
-        yield from _in_place(images, blocks, i + 1)
-
-
-def _each_beta(pi):
-    """Run through S_pi, yielding one 0-based image list rewritten in place."""
-    images = list(range(pi.n))
-    for _ in _in_place(images, [[x - 1 for x in b] for b in pi.blocks]):
-        yield images
-
-
 @cache
 def _pair_sweep(n):
     """(C, D) by the type of pi, read off the S_n sweep: for each cycle
@@ -122,32 +104,6 @@ def _pair_sweep(n):
                 C[lam] += a
                 D[lam] += b
     return C, D
-
-
-def _compositions(n, p):
-    """Every sequence of p positive integers summing to n."""
-    if p == 0:
-        if n == 0:
-            yield ()
-        return
-    for first in range(1, n - p + 2):
-        for rest in _compositions(n - first, p - 1):
-            yield (first,) + rest
-
-
-@cache
-def _tree_sweep(n):
-    """ST by type, from one pass over every star thorn tree of size n.
-
-    A tree is a set of p edge positions among the n root slots plus the
-    degrees of its p black vertices in root order: a composition of n.
-    """
-    ST = Counter()
-    for p in range(n + 1):
-        types = [tuple(sorted(c, reverse=True)) for c in _compositions(n, p)]
-        for _edges in combinations(range(n), p):
-            ST.update(types)
-    return ST
 
 
 def enumerate_A(lam, budget=DEFAULT_SN_BUDGET):
@@ -180,9 +136,11 @@ def enumerate_CD(lam, budget=DEFAULT_PAIR_BUDGET):
 
 
 def enumerate_ST(mu, budget=DEFAULT_SN_BUDGET):
-    """Count star thorn trees of type mu by sweeping every tree of size n."""
+    """Count star thorn trees of type mu by building every one of them."""
     _check(mu.size, budget, "tree", long_cycle=False)
-    return _tree_sweep(mu.size)[mu]
+    from .structures import all_star_thorn_trees
+
+    return sum(1 for _ in all_star_thorn_trees(mu))
 
 
 def reformulation_probability(lam, budget=DEFAULT_PAIR_BUDGET):

@@ -5,7 +5,7 @@ Partitions are stored as weakly decreasing tuples of positive parts.
 Set partitions store their blocks sorted by minimum element.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial, prod
 from operator import attrgetter
 
@@ -216,13 +216,32 @@ def set_partitions_of_type(lam):
         yield _trusted(SetPartition, n=n, blocks=blocks)
 
 
+def _in_place(images, blocks, i=0):
+    """Run through S_pi, writing each beta into ``images`` block by block;
+    yields once per beta, with ``images`` holding it."""
+    if i == len(blocks):
+        yield
+        return
+    block = blocks[i]
+    for target in permutations(block):
+        for src, dst in zip(block, target):
+            images[src] = dst
+        yield from _in_place(images, blocks, i + 1)
+
+
+def _each_beta(pi):
+    """Run through S_pi, yielding one 0-based image list rewritten in place."""
+    images = list(range(pi.n))
+    for _ in _in_place(images, [[x - 1 for x in b] for b in pi.blocks]):
+        yield images
+
+
 def permutations_in(pi):
     """All permutations of {1..n} whose every cycle stays inside a block of pi.
 
     Equivalently the direct product of the symmetric groups of the blocks;
     there are prod |block|! of them.
     """
-    from .oracle import _each_beta
     from .perm import Permutation
 
     for images in _each_beta(pi):

@@ -12,14 +12,14 @@ clockwise reading used for cycle recovery is the reverse traversal.
 """
 
 import json
-from functools import cached_property
 from itertools import combinations, count, permutations as iperm
 
-from .oracle import DEFAULT_PAIR_BUDGET, _check, _each_beta, _long_complement
+from .oracle import DEFAULT_PAIR_BUDGET, _check, _long_complement
 from .partition import (
     Partition,
     SetPartition,
     Value,
+    _each_beta,
     _require_ints,
     _trusted,
     set_partitions_of_type,
@@ -38,8 +38,7 @@ class StarThornTree(Value):
     None for a thorn.  ``blacks``: per-black thorn count.
     """
 
-    _fields = ("white", "blacks")
-    __slots__ = _fields + ("__dict__",)  # the dict caches _edge_slots
+    __slots__ = _fields = ("white", "blacks")
 
     def __init__(self, white, blacks):
         edges = [b for b in white if b is not None]
@@ -73,12 +72,8 @@ class StarThornTree(Value):
         return Partition(sorted((self.degree(b) for b in range(self.p)),
                                 reverse=True))
 
-    @cached_property
-    def _edge_slots(self):
-        return {b: s for s, b in enumerate(self.white) if b is not None}
-
     def edge_slot(self, b):
-        return self._edge_slots[b]
+        return self.white.index(b)
 
     def white_thorn_slots(self):
         return tuple(s for s, v in enumerate(self.white) if v is None)
@@ -191,7 +186,8 @@ class LabeledThornTree(Value):
         _require_ints(flat, "black labels")
         if sorted(white_labels) != list(range(1, n + 1)):
             raise ValueError("white labels must be a bijection with {1..n}")
-        edge_labels = [white_labels[tree.edge_slot(b)] for b in range(tree.p)]
+        edge_labels = [lab for lab, b in zip(white_labels, tree.white)
+                       if b is not None]
         if sorted(flat + edge_labels) != list(range(1, n + 1)):
             raise ValueError("black-side labels must be a bijection with {1..n}")
         for b in range(tree.p):
@@ -225,19 +221,31 @@ class LabeledThornTree(Value):
 # Generation
 
 
+def _orders(items):
+    """Each distinct ordering of the sorted tuple ``items``, once, in
+    lexicographic order."""
+    if not items:
+        yield ()
+    for i, x in enumerate(items):
+        if i == 0 or x != items[i - 1]:
+            for rest in _orders(items[:i] + items[i + 1:]):
+                yield (x,) + rest
+
+
 def all_star_thorn_trees(mu):
     """Every star thorn tree of type mu, exactly once.
 
     Choose the edge positions among the n root slots, then assign the
-    degree multiset to the black vertices in root order.
+    degree multiset to the black vertices in root order.  Each tree is
+    valid by construction and built without validation.
     """
     n, p = mu.size, mu.length
-    degree_orders = sorted(set(iperm(mu)))
+    thorn_orders = list(_orders(tuple(d - 1 for d in reversed(mu))))
     for positions in combinations(range(n), p):
         black_at = {s: b for b, s in enumerate(positions)}
         white = tuple(black_at.get(s) for s in range(n))
-        for degs in degree_orders:
-            yield StarThornTree(white, tuple(d - 1 for d in degs))
+        for blacks in thorn_orders:
+            yield _trusted(StarThornTree, white=white, blacks=blacks)
 
 
 def all_permuted_trees(lam, budget=DEFAULT_PAIR_BUDGET):

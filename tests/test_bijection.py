@@ -120,9 +120,8 @@ def test_classification_matches_inversion(n):
 
 def test_aux_graph_worked_example():
     t = psi(fixture("example21.json"))
-    g = aux_graph(t)
-    assert g.classify()[0] == "tree"
-    assert g.root == t.tree.white[0]
+    assert classify(t).kind == "image"
+    assert aux_graph(t).root == t.tree.white[0]
 
 
 def test_aux_graph_requires_p1():
@@ -295,6 +294,34 @@ def test_psi_inverse_outcomes_pinned(n):
                 assert rebuilt == lt and hash(rebuilt) == hash(lt)
     digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
     assert digest == INVERSE_OUTCOMES_SHA256[n]
+
+
+# sha256 over the lines "<serialized tree> <classify JSON>" for every
+# permuted tree of size n, in enumeration order, as classified when the
+# auxiliary graph returned its own tuple verdict: pins both the verdict
+# (with the cycle's orientation) and the order the trees come in.
+CLASSIFY_OUTCOMES_SHA256 = {
+    0: "21e45788dc3fa54cd735a4ad678ba917a0872a29222f61530d23e4c735125400",
+    1: "7a221cf2f8dabe953e7df846e31fc837aa0c15308525b4ff92f4abc0cf87cf9b",
+    2: "5bc3acbcf014b80cb6f9fe822a6907d7c396c7ac064d9e249f697378f6e1b6d8",
+    3: "bd665101d3cc56823664778cf371a106072a99d586bdf74f1e0376842ad6a608",
+    4: "67c3f2009f3bce57bfd0ef3b1e07b446123e1b49bf53aeca987c5e4b03708b32",
+    5: "4bbea292910210b39d4b9dc5f2dbd2bbc17902aaca83784db9aea071a60c55d4",
+    6: "12c648c05d7c4bb06af497c50c20148795d083fb0f38bd766fe5fd2071967dc0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLASSIFY_OUTCOMES_SHA256))
+def test_classify_outcomes_pinned(n):
+    import hashlib
+    import json
+
+    lines = [serialize(t) + " " + json.dumps(classify(t).to_json_obj(),
+                                             sort_keys=True,
+                                             separators=(",", ":"))
+             for lam in partitions_of(n) for t in all_permuted_trees(lam)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CLASSIFY_OUTCOMES_SHA256[n]
 
 
 # sha256 over the sorted lines "<serialized psi(m)> <psi_label(m) JSON>"

@@ -316,6 +316,27 @@ TABLE_STDOUT_SHA256 = {
         0, "71a1c90752b40f2201d77e31b0cd62eeff9eb8694058df30e2ea51aa03aa162e"),
     ('B', '8'): (
         0, "62c93c3ad634e334e35ac73240b065c74b4d63f2c0145b8320fb4d1ed842ce1a"),
+    # captured while the ST oracle counted compositions, not built trees
+    ('ST', '0', '--oracle', '--budget', '9'): (
+        0, "40c33b594a7a3124dd97b018404d3f5125e13ffe67a51fcb11474b459e914f95"),
+    ('ST', '1', '--oracle', '--budget', '9'): (
+        0, "911b7c7d52edacd03bf794dd1c3baaee2f2cac0baf71c20f7494da76916c120a"),
+    ('ST', '2', '--oracle', '--budget', '9'): (
+        0, "dfe8e8c5ce80634d96c61021db80cd590dc57bc50fc9a9a693c5095b54fbd983"),
+    ('ST', '3', '--oracle', '--budget', '9'): (
+        0, "4e1fdc0a80706d68d67a5a862450d051f21a1713793df26b9b593f8264e17b4e"),
+    ('ST', '4', '--oracle', '--budget', '9'): (
+        0, "ee47bbe83ddf45dafcceb92869acb67714b9104c1b0c99646a15834be263e459"),
+    ('ST', '5', '--oracle', '--budget', '9'): (
+        0, "a074b7c36aa6b55dd76d0cb7b73a0b30cc079d172a17ab271834c743c1dc7836"),
+    ('ST', '6', '--oracle', '--budget', '9'): (
+        0, "c8e4c51601a36e4c8a588c4230926d6901a0bf04f542c831f221931601bdf6e9"),
+    ('ST', '7', '--oracle', '--budget', '9'): (
+        0, "901da1d999be2d1f9b5b2c2d60c0d498075a30b2f4f48c7c3b3c7e2189b74318"),
+    ('ST', '8', '--oracle', '--budget', '9'): (
+        0, "99416c09f6e80e3ffa119aa1e7c0a68bd160c391a2ecd7448f7652161cce4245"),
+    ('ST', '9', '--oracle', '--budget', '9'): (
+        0, "3457dc0a1a3ba59de882432ccd7c851703226c557d904f415a5a23c4f06d7ea0"),
 }
 
 
@@ -324,6 +345,36 @@ def test_table_stdout_pinned(capsys, argv):
     code, out, _ = run(capsys, "table", *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) \
         == TABLE_STDOUT_SHA256[argv]
+
+
+ZAGIER_41_REFUSED = """{
+  "command": "verify zagier 41",
+  "items": [],
+  "reason": "n=41 exceeds solver limit 40",
+  "status": "refused"
+}
+"""
+
+# (exit code, stdout, stderr lines but "wall time:") of each command that
+# the solver limit refuses, as printed before the three limit checks
+# shared one refusal.
+SOLVER_LIMIT_REFUSALS = {
+    ("table", "B", "41"): (
+        2, "", ["refused: n=41 exceeds solver limit 40"]),
+    ("table", "Bprime", "41"): (
+        2, "", ["refused: n=41 exceeds solver limit 40"]),
+    ("table", "Bprime", "41", "--format", "json"): (
+        2, "", ["refused: n=41 exceeds solver limit 40"]),
+    ("verify", "zagier", "41"): (2, ZAGIER_41_REFUSED, []),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SOLVER_LIMIT_REFUSALS))
+def test_solver_limit_refusals_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    err = [line for line in err.splitlines()
+           if not line.startswith("wall time:")]
+    assert (code, out, err) == SOLVER_LIMIT_REFUSALS[argv]
 
 
 def test_transform_psi_of_an_empty_map_is_a_usage_error(tmp_path, capsys):

@@ -63,10 +63,10 @@ def test_count_ST_examples():
     assert count_ST(Partition([2, 2])) == 6
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_count_ST_matches_oracle(n):
     for mu in partitions_of(n):
-        assert count_ST(mu) == oracle.enumerate_ST(mu)
+        assert count_ST(mu) == oracle.enumerate_ST(mu, budget=9)
 
 
 def test_count_C_and_D():

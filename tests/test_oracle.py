@@ -6,7 +6,6 @@ import pytest
 from thorntrees.counting import count_C, count_D, solve_B, stirling1_unsigned
 from thorntrees.oracle import (
     BudgetExceeded,
-    _each_beta,
     enumerate_A,
     enumerate_B,
     enumerate_Bprime,
@@ -16,6 +15,7 @@ from thorntrees.oracle import (
 )
 from thorntrees.partition import (
     Partition,
+    _each_beta,
     partitions_of,
     set_partitions_of_type,
 )

@@ -123,11 +123,25 @@ def test_value_classes_equality_hash_and_immutability():
         assert pickle.loads(pickle.dumps(v)) == v
         if type(v) not in (CountTable, AuxGraph, SymPoly):  # they hold dicts
             assert hash(twin) == hash(v)
+        assert not hasattr(v, "__dict__"), type(v).__name__
         for name in v._fields + ("extra",):
             with pytest.raises(AttributeError):
                 setattr(v, name, None)
         with pytest.raises(AttributeError):
             delattr(v, v._fields[0])
+
+
+MODULES = sorted(path.stem for path in (ROOT / "src" / "thorntrees").glob("*.py")
+                 if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_first(module):
+    # a fresh process per module, so a module-level import cycle that only
+    # one import order trips shows up here
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", "import thorntrees." + module],
+                   cwd=ROOT, env=env, check=True)
 
 
 def test_value_equality_needs_the_same_class():

@@ -128,6 +128,10 @@ def test_all_star_thorn_trees_count(n):
         trees = list(all_star_thorn_trees(mu))
         assert len(trees) == len(set(trees)) == count_ST(mu)
         assert all(t.type_of() == mu for t in trees)
+        # the enumerator skips validation; every tree must still pass it
+        for t in trees:
+            rebuilt = StarThornTree(t.white, t.blacks)
+            assert rebuilt == t and hash(rebuilt) == hash(t)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

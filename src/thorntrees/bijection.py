@@ -222,7 +222,7 @@ def aux_graph(t):
     tree = t.tree
     if tree.n == 0 or tree.white[0] is None:
         raise NoP1Error("leftmost root slot is not an edge")
-    sigma = t.sigma_map()
+    sigma = dict(t.sigma)
     out = {}
     # slot 0 holds the root's edge; the other edges follow in root order
     for s in range(1, tree.n):

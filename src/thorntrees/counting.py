@@ -143,10 +143,9 @@ def solve_B(n):
 
     where the only unknown is lam' = lam (coefficient lam_1 * m_{lam_1}(lam));
     every other lam' is lexicographically larger, hence already solved.
-    Off-parity entries are 0.
+    Off-parity entries are 0.  Multiplied through by n+1, each equation
+    is in integers, and B(lam) is one exact division.
     """
-    from fractions import Fraction
-
     if n < 1:
         raise ValueError("n must be >= 1")
     B = {}
@@ -155,7 +154,7 @@ def solve_B(n):
             B[lam] = 0
             continue
         mu = lam.up(lam[0])
-        rhs = Fraction(2 * count_A(mu), n + 1)
+        known = 0
         coeff = None
         for j in sorted(set(mu)):
             if j < 2:
@@ -165,16 +164,15 @@ def solve_B(n):
             if lamp == lam:
                 coeff = i * lam.multiplicity(i)
             else:
-                rhs -= i * lamp.multiplicity(i) * B[lamp]
+                known += i * lamp.multiplicity(i) * B[lamp]
         pivot = lam[0] * lam.multiplicity(lam[0])
         if coeff != pivot:
             raise InexactDivisionError(
                 "pivot of B(%r) is %r, expected %d" % (lam, coeff, pivot))
-        val = rhs / coeff
-        if val.denominator != 1 or val < 0:
-            raise InexactDivisionError(
-                "non-integral B(%r) = %s" % (lam, val))
-        B[lam] = int(val)
+        val = _exact_div(2 * count_A(mu) - (n + 1) * known, (n + 1) * pivot)
+        if val < 0:
+            raise InexactDivisionError("negative B(%r) = %d" % (lam, val))
+        B[lam] = val
     return CountTable(n, "B", B, provenance="solver")
 
 
@@ -197,8 +195,9 @@ def _bprime_row(n):
 def verify_zagier(n):
     """Check n(n+1)/2 * B'(n,m) = s(n+1,m) for every m (Zagier's identity).
 
-    Off-parity m must give B'(n,m) = 0.  Returns a list of per-m dicts with
-    an 'ok' flag.
+    Off-parity m must give B'(n,m) = 0.  Returns one dict per m: its
+    ``check`` name, the ``expected`` and ``actual`` sides compared, and
+    ``ok``.
     """
     row = _bprime_row(n)
     srow = stirling1_row(n + 1)
@@ -206,13 +205,12 @@ def verify_zagier(n):
     for m in range(1, n + 1):
         bp = row[m]
         if m % 2 == n % 2:
-            ok = n * (n + 1) // 2 * bp == srow[m]
-            expected = srow[m]
+            check, expected, actual = "zagier", srow[m], n * (n + 1) // 2 * bp
         else:
-            ok = bp == 0
-            expected = 0
-        out.append({"m": m, "Bprime": bp, "stirling": srow[m], "ok": ok,
-                    "expected": expected})
+            check, expected, actual = "offparity", 0, bp
+        out.append({"m": m, "Bprime": bp, "stirling": srow[m],
+                    "check": "%s m=%d" % (check, m), "expected": expected,
+                    "actual": actual, "ok": expected == actual})
     return out
 
 

@@ -111,24 +111,22 @@ class Partition(tuple):
         return prod(factorial(m) for m in self.multiplicities().values())
 
     def up(self, i):
-        """Replace one part i by i+1 (size +1, length preserved)."""
+        """Replace one part i by i+1 (size +1, length preserved): the
+        leftmost one, whose left neighbour is > i, so no re-sort."""
         if i not in self:
             raise ValueError("no part %d in %r" % (i, self))
-        parts = list(self)
-        parts.remove(i)
-        parts.append(i + 1)
-        return Partition(sorted(parts, reverse=True))
+        k = self.index(i)
+        return Partition(self[:k] + (i + 1,) + self[k + 1:])
 
     def down(self, j):
-        """Replace one part j (j >= 2) by j-1 (size -1, length preserved)."""
+        """Replace one part j (j >= 2) by j-1 (size -1, length preserved):
+        the rightmost one, whose right neighbour is < j, so no re-sort."""
         if j < 2:
             raise ValueError("down requires a part >= 2")
         if j not in self:
             raise ValueError("no part %d in %r" % (j, self))
-        parts = list(self)
-        parts.remove(j)
-        parts.append(j - 1)
-        return Partition(sorted(parts, reverse=True))
+        k = self.index(j) + self.count(j)
+        return Partition(self[:k - 1] + (j - 1,) + self[k:])
 
     def exponential(self):
         """Exponential notation like '1^2 3^1 4^2' (empty partition: '()')."""

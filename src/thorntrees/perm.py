@@ -21,26 +21,6 @@ class Permutation(Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", images)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(range(1, n + 1))
-
-    @classmethod
-    def from_cycles(cls, n, cycles):
-        """Build a permutation of {1..n} from a list of cycles.
-
-        Elements not mentioned in any cycle are fixed points.
-        """
-        images = list(range(1, n + 1))
-        seen = set()
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if a in seen:
-                    raise ValueError("element %d appears in two cycles" % a)
-                seen.add(a)
-                images[a - 1] = b
-        return cls(images)
-
     def __call__(self, k):
         return self.images[k - 1]
 
@@ -48,10 +28,6 @@ class Permutation(Value):
         cycles = self.cycles()
         body = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
         return "Permutation[%s]" % (body or "id0")
-
-    def __mul__(self, other):
-        """Composition (self*other)(k) = self(other(k)): the right factor acts first."""
-        return compose(self, other)
 
     def inverse(self):
         inv = [0] * self.n

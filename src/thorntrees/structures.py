@@ -24,7 +24,7 @@ from .partition import (
     _trusted,
     set_partitions_of_type,
 )
-from .perm import Permutation, canonical_long_cycle
+from .perm import Permutation, canonical_long_cycle, compose
 
 
 class ParseError(ValueError):
@@ -112,9 +112,6 @@ class PermutedThornTree(Value):
     def type_of(self):
         return self.tree.type_of()
 
-    def sigma_map(self):
-        return dict(self.sigma)
-
 
 class BlackPartitionedStarMap(Value):
     """Couple (beta, pi) with pi coarser than the orbits of beta.
@@ -157,7 +154,7 @@ class BlackPartitionedStarMap(Value):
 
     @property
     def alpha(self):
-        return canonical_long_cycle(self.n) * self.beta.inverse()
+        return compose(canonical_long_cycle(self.n), self.beta.inverse())
 
     @property
     def is_star(self):
@@ -198,13 +195,6 @@ class LabeledThornTree(Value):
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "white_labels", white_labels)
         object.__setattr__(self, "black_labels", black_labels)
-
-    def edge_label(self, b):
-        return self.white_labels[self.tree.edge_slot(b)]
-
-    def clockwise_reading(self, b):
-        """Labels around black vertex b read clockwise, edge last."""
-        return tuple(reversed(self.black_labels[b])) + (self.edge_label(b),)
 
     def to_permuted(self):
         """Forget label values; sigma pairs equal labels."""

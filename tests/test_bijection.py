@@ -43,21 +43,23 @@ def test_psi_label_worked_example():
     m = fixture("example21.json")
     lt = psi_label(m)
     assert lt.white_labels == (3, 5, 4, 7, 6, 2, 1)
-    assert sorted(lt.edge_label(b) for b in range(lt.tree.p)) == [2, 3, 4]
-    # the degree-4 vertex reads (1, 6, 7, 3) clockwise
+    edge_labels = [lt.white_labels[lt.tree.edge_slot(b)]
+                   for b in range(lt.tree.p)]
+    assert sorted(edge_labels) == [2, 3, 4]
+    # the degree-4 vertex reads (1, 6, 7, 3) clockwise, its edge last
     big = lt.tree.blacks.index(3)
-    assert lt.clockwise_reading(big) == (1, 6, 7, 3)
+    assert lt.black_labels[big][::-1] + (edge_labels[big],) == (1, 6, 7, 3)
 
 
 def test_psi_small_example():
-    beta = Permutation.from_cycles(5, [(1, 3, 2)])
+    beta = Permutation((3, 1, 2, 4, 5))  # (1 3 2)
     pi = SetPartition(5, [[1, 2, 3], [4, 5]])
     t = psi(BlackPartitionedStarMap(beta, pi))
     assert t == fixture("ex1.json")
 
 
 def test_psi_rejects_non_star():
-    beta = Permutation.from_cycles(3, [(1, 2, 3)])
+    beta = Permutation((2, 3, 1))  # (1 2 3)
     m = BlackPartitionedStarMap(beta, SetPartition(3, [[1, 2, 3]]))
     assert not m.is_star
     with pytest.raises(ValueError) as exc:
@@ -459,7 +461,7 @@ def test_large_roundtrip():
         if steps == n:
             break
     m = BlackPartitionedStarMap(
-        Permutation.from_cycles(n, cycles),
+        Permutation(beta_inv[1:]).inverse(),
         SetPartition(n, [cycles[i] + cycles[i + 1] for i in range(0, 10, 2)]))
     assert m.is_star and m.beta.cycle_type() == Partition([size] * 10)
     out = psi_inverse(psi(m))

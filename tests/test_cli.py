@@ -113,6 +113,18 @@ def test_verify_zagier(capsys):
     assert "wall time" in err and "wall" not in out
 
 
+# sha256 of the stdout of `verify zagier 30`, captured while solve_B still
+# divided over the rationals and the CLI re-made the Zagier comparison
+ZAGIER_30_STDOUT_SHA256 = (
+    "aaed794011d75e16c21e8472a4f4aa081f4abf3c2482b8b854892f26f41fe2c5")
+
+
+def test_verify_zagier_30_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "zagier", "30")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ZAGIER_30_STDOUT_SHA256
+
+
 def test_verify_bijection(capsys):
     code, out, _ = run(capsys, "verify", "bijection", "4")
     assert code == 0
@@ -337,6 +349,15 @@ TABLE_STDOUT_SHA256 = {
         0, "99416c09f6e80e3ffa119aa1e7c0a68bd160c391a2ecd7448f7652161cce4245"),
     ('ST', '9', '--oracle', '--budget', '9'): (
         0, "3457dc0a1a3ba59de882432ccd7c851703226c557d904f415a5a23c4f06d7ea0"),
+    # captured while solve_B still divided over the rationals
+    ('B', '30'): (
+        0, "4d37d14b39c18d6786afa0d1396c5a969697c50e61fff9cf1307dae4a44ba5dc"),
+    ('B', '30', '--format', 'json'): (
+        0, "6e592019958bbd73b3438711cc64bce69d1c28386d1b57a58c0998ae799a7a15"),
+    ('Bprime', '30'): (
+        0, "ed28bd319d1d522d62886177e352cdc59892a636a45827d95ad49e9bae117ddb"),
+    ('Bprime', '30', '--format', 'json'): (
+        0, "2881aad873636e7fe12344e81ead1034decaf4a17137a543c64177967c8fbf86"),
 }
 
 

@@ -1,4 +1,6 @@
-from math import factorial
+from collections import Counter
+from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 
@@ -123,6 +125,54 @@ def test_count_Bprime_solves_B_once_per_n(monkeypatch):
 def test_verify_zagier():
     for n in range(1, 9):
         assert all(row["ok"] for row in verify_zagier(n))
+    rows = verify_zagier(5)
+    assert [row["check"] for row in rows[:2]] == ["zagier m=1",
+                                                  "offparity m=2"]
+    # s(6, 1) = 5! and 5*6/2 * B'(5, 1) with B'(5, 1) = 8
+    assert (rows[0]["expected"], rows[0]["actual"]) == (120, 15 * 8)
+    assert (rows[1]["expected"], rows[1]["actual"]) == (0, 0)
+
+
+def boccara_B(lam):
+    """B(lam) by Boccara's closed form (Discrete Math. 1980; restated in
+    Stanley, "Two enumerative results on cycles of permutations", 2011):
+
+        (n!/z_lam) * integral_0^1 prod_i ((1-x)^{lam_i} - (-x)^{lam_i}) dx,
+
+    with the polynomial in exact integer coefficients of 1, x, x^2, ..."""
+    poly = [1]
+    for k in lam:
+        factor = [(-1) ** e * comb(k, e) for e in range(k)]  # x^k cancels
+        product = [0] * (len(poly) + len(factor) - 1)
+        for a, c in enumerate(poly):
+            for b, d in enumerate(factor):
+                product[a + b] += c * d
+        poly = product
+    integral = sum(Fraction(c, e + 1) for e, c in enumerate(poly))
+    z = prod(i ** m * factorial(m) for i, m in Counter(lam).items())
+    return Fraction(factorial(sum(lam)), z) * integral
+
+
+def test_solver_matches_boccara_closed_form_entry_by_entry():
+    checked = 0
+    for n in range(1, 19):
+        table = solve_B(n)
+        for lam in partitions_of(n):
+            assert table[lam] == boccara_B(tuple(lam)), lam
+            checked += 1
+    assert checked == 1596
+
+
+def test_solver_inconsistency_raises(monkeypatch):
+    # each patched count_A makes one equation impossible in integers
+    monkeypatch.setattr(counting, "count_A", lambda mu: 1)
+    with pytest.raises(InexactDivisionError, match="2 is not divisible by 6"):
+        solve_B(2)
+    monkeypatch.setattr(counting, "count_A",
+                        lambda mu: 0 if mu == (3, 2, 1) else count_A(mu))
+    with pytest.raises(InexactDivisionError,
+                       match=r"negative B\(Partition\(2, 2, 1\)\) = -5"):
+        solve_B(5)
 
 
 def test_zagier_instances():

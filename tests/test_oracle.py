@@ -19,7 +19,7 @@ from thorntrees.partition import (
     partitions_of,
     set_partitions_of_type,
 )
-from thorntrees.perm import all_permutations, canonical_long_cycle
+from thorntrees.perm import all_permutations, canonical_long_cycle, compose
 from thorntrees.structures import all_star_maps
 
 
@@ -73,7 +73,7 @@ def test_sn_sweep_matches_permutation_objects(n):
     for beta in all_permutations(n):
         lam = beta.cycle_type()
         A[lam] = A.get(lam, 0) + 1
-        if (c * beta.inverse()).is_long_cycle():
+        if compose(c, beta.inverse()).is_long_cycle():
             B[lam] = B.get(lam, 0) + 1
             Bp[lam.length] = Bp.get(lam.length, 0) + 1
     for lam in partitions_of(n):

@@ -84,6 +84,17 @@ def test_transform_and_export_dot_load_no_counting_layer(argv):
     assert not loaded & (HEAVY | {"thorntrees.counting", "thorntrees.symfun"})
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "B", "5"),
+    ("table", "Bprime", "5"),
+    ("verify", "zagier", "5"),
+])
+def test_solver_commands_load_no_fractions(argv):
+    loaded = loaded_by(*argv)
+    assert "thorntrees.counting" in loaded
+    assert not loaded & HEAVY
+
+
 def test_verify_identities_loads_no_tree_layer():
     loaded = loaded_by("verify", "identities", "3")
     assert {"thorntrees.symfun", "thorntrees.counting"} <= loaded

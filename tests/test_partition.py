@@ -33,6 +33,19 @@ def test_up_down_inverse_pair():
                     assert mu.down(j).up(j - 1) == mu
 
 
+def test_up_down_move_one_part_and_re_sort():
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            for i in set(lam):
+                parts = list(lam)
+                parts.remove(i)
+                assert lam.up(i) == tuple(sorted(parts + [i + 1],
+                                                 reverse=True))
+                if i >= 2:
+                    assert lam.down(i) == tuple(sorted(parts + [i - 1],
+                                                       reverse=True))
+
+
 def test_up_down_preserve_length():
     lam = Partition([3, 2, 2])
     assert lam.up(2).length == lam.length

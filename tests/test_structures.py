@@ -58,9 +58,9 @@ def test_permuted_validation():
 
 def test_map_coarseness_check():
     with pytest.raises(ValueError, match="coarser"):
-        BlackPartitionedStarMap(Permutation.from_cycles(3, [(1, 2)]),
+        BlackPartitionedStarMap(Permutation((2, 1, 3)),  # (1 2)
                                 SetPartition(3, [[1, 3], [2]]))
-    m = BlackPartitionedStarMap(Permutation.identity(3),
+    m = BlackPartitionedStarMap(Permutation((1, 2, 3)),
                                 SetPartition(3, [[1, 2], [3]]))
     assert m.is_star  # alpha = (1 2 3)
     assert m.type_of() == Partition([2, 1])
@@ -68,7 +68,7 @@ def test_map_coarseness_check():
 
 def test_map_split_cycle_message():
     with pytest.raises(ValueError) as exc:
-        BlackPartitionedStarMap(Permutation.from_cycles(4, [(1, 3), (2, 4)]),
+        BlackPartitionedStarMap(Permutation((3, 4, 1, 2)),  # (1 3)(2 4)
                                 SetPartition(4, [[1, 2], [3, 4]]))
     assert str(exc.value) == (
         "pi is not coarser than the orbits of beta: cycle [2, 4] is split "
@@ -76,27 +76,30 @@ def test_map_split_cycle_message():
 
 
 def test_map_alpha_example():
-    beta = Permutation.from_cycles(7, [(2, 5), (3, 7)])
+    beta = Permutation((1, 5, 7, 4, 2, 6, 3))  # (2 5)(3 7)
     pi = SetPartition(7, [[1], [2, 5], [3, 7], [4], [6]])
     m = BlackPartitionedStarMap(beta, pi)
-    assert m.alpha == Permutation.from_cycles(7, [(1, 2, 6, 7, 4, 5, 3)])
+    assert m.alpha == Permutation((2, 6, 1, 5, 3, 7, 4))  # (1 2 6 7 4 5 3)
     assert m.is_star
 
 
 def test_labeled_tree_readings():
     tree = StarThornTree((None, None, None, 0), (3,))
     lt = LabeledThornTree(tree, (3, 4, 2, 1), ((4, 3, 2),))
-    assert lt.edge_label(0) == 1
-    assert lt.clockwise_reading(0) == (2, 3, 4, 1)
+    edge = lt.white_labels[tree.edge_slot(0)]
+    assert edge == 1
+    # clockwise around the black vertex, its edge last
+    assert lt.black_labels[0][::-1] + (edge,) == (2, 3, 4, 1)
     pt = lt.to_permuted()
-    assert pt.sigma_map() == {0: (0, 1), 1: (0, 0), 2: (0, 2)}
+    assert dict(pt.sigma) == {0: (0, 1), 1: (0, 0), 2: (0, 2)}
 
 
 def test_labeled_tree_two_blacks():
     tree = StarThornTree((None, 0, None, 1), (1, 1))
     lt = LabeledThornTree(tree, (3, 4, 2, 1), ((2,), (3,)))
-    assert lt.clockwise_reading(0) == (2, 4)
-    assert lt.clockwise_reading(1) == (3, 1)
+    for b, reading in enumerate([(2, 4), (3, 1)]):
+        edge = lt.white_labels[tree.edge_slot(b)]
+        assert lt.black_labels[b][::-1] + (edge,) == reading
 
 
 def test_to_permuted_is_valid_by_construction():
@@ -191,7 +194,7 @@ def test_serialize_roundtrip_and_stability():
         text = serialize(obj)
         assert deserialize(text) == obj
         assert serialize(deserialize(text)) == text
-    beta = Permutation.from_cycles(5, [(1, 3, 2)])
+    beta = Permutation((3, 1, 2, 4, 5))  # (1 3 2)
     m = BlackPartitionedStarMap(beta, SetPartition(5, [[1, 2, 3], [4, 5]]))
     assert deserialize(serialize(m)) == m
     assert " " not in serialize(m)

@@ -9,9 +9,10 @@ slot is a real edge (P1) and the auxiliary graph is a tree rooted at
 that edge's black vertex (P2).
 """
 
-from itertools import chain
+from itertools import chain, permutations as iperm
+from operator import itemgetter
 
-from .oracle import DEFAULT_PAIR_BUDGET
+from .oracle import DEFAULT_PAIR_BUDGET, InternalCheckError, _check
 from .partition import SetPartition, Value, _trusted
 from .perm import Permutation
 from .structures import (
@@ -21,7 +22,8 @@ from .structures import (
     _black_lists,
     _pack,
     _unpack,
-    all_permuted_trees,
+    all_star_maps,
+    all_star_thorn_trees,
     to_json_obj,
 )
 
@@ -109,39 +111,78 @@ def psi_inverse(t):
     Labels 1..n are assigned one per step; the element carrying the
     current image of beta is found by the left-to-right-maximum rule read
     clockwise around the black vertex, in time linear in n.  A recovered
-    map is checked by running Psi forward on it (AssertionError if not).
-    """
-    out = _recover(t)
-    if out.success and not (out.map.is_star and psi(out.map) == t):
-        raise AssertionError("inverse self-check failed")
-    return out
-
-
-def _recover(t):
-    """psi_inverse without its self-check, for callers that check the map.
-
-    A black element's id is its position in the clockwise readings laid
-    end to end (per vertex: thorns in reverse storage order, edge last).
+    map is checked by running Psi forward on it (InternalCheckError if
+    not).
     """
     tree = t.tree
-    n, blacks = tree.n, tree.blacks
-    if n == 0:
+    if tree.n == 0:
         raise ValueError("the empty tree has no preimage: maps need n >= 1")
+    shape = _shape(tree)
+    label, white_labels, collision = _label_walk(shape, t.sigma)
+    if collision is not None:
+        step, target, beta_el = collision
+        _, stops, vertex, _, _ = shape
+        b = vertex[beta_el]
+        stop = stops[b]
+        return InverseOutcome(
+            success=False, step=step,
+            certificate={"collision_label": white_labels[target],
+                         "collision_slot": target,
+                         "beta_element": ["e", b] if beta_el == stop - 1
+                         else ["t", b, stop - 2 - beta_el]})
+    # success labels each slot and each black element once: every object
+    # below is valid by construction
+    readings, images, blocks = _cycles(shape, label)
+    m = _map(images, blocks)
+    if not (m.is_star and psi(m) == t):
+        raise InternalCheckError("inverse self-check failed")
+    labeled = _trusted(LabeledThornTree, tree=tree,
+                       white_labels=tuple(white_labels),
+                       black_labels=tuple(tuple(r[-2::-1]) for r in readings))
+    return InverseOutcome(success=True, map=m, labeled=labeled)
+
+
+def _shape(tree):
+    """The arrays of the label walk that depend on the tree alone, not on
+    sigma: (starts, stops, vertex, elem, slot).
+
+    A black element's id is its position in the clockwise readings laid
+    end to end (per vertex: thorns in reverse storage order, edge last),
+    so vertex b owns the ids starts[b] .. stops[b] - 1 and ``vertex``
+    maps an id back to b.  ``elem`` (slot -> id) and ``slot`` (id -> slot)
+    hold the edges; the label walk adds sigma's thorns.
+    """
     starts, stops, vertex = [], [], []
-    for b, tc in enumerate(blacks):
+    for b, tc in enumerate(tree.blacks):
         starts.append(len(vertex))
         vertex += [b] * (tc + 1)
         stops.append(len(vertex))
-    elem = [stops[v] - 1 if v is not None else None for v in tree.white]
-    for w, (b, ti) in t.sigma:
-        elem[w] = stops[b] - 2 - ti
-    slot = [0] * n
-    for s, e in enumerate(elem):
-        slot[e] = s
+    elem = [None] * tree.n
+    slot = [0] * tree.n
+    for s, b in enumerate(tree.white):
+        if b is not None:
+            elem[s] = stops[b] - 1
+            slot[stops[b] - 1] = s
+    return starts, stops, vertex, elem, slot
 
+
+def _label_walk(shape, sigma):
+    """Label the slots and black elements of one sigma on a shape.
+
+    Returns (label per element id, label per white slot, collision):
+    collision is None once every slot is labeled, or (step, slot, id of
+    the beta element) at the first step whose target slot is labeled
+    already.  ``sigma`` yields (white slot, (black, thorn index)) pairs.
+    """
+    starts, stops, vertex, elem, slot = shape
+    elem, slot = elem[:], slot[:]
+    for w, (b, ti) in sigma:
+        e = stops[b] - 2 - ti
+        elem[w], slot[e] = e, w
+    n = len(elem)
     label = [0] * n  # per black element id; 0 while unlabeled
     white_labels = [0] * n
-    free = list(starts)  # per vertex: first unlabeled id, if any
+    free = starts[:]  # per vertex: first unlabeled id, if any
     e = elem[n - 1]
     label[e] = white_labels[n - 1] = 1
     for i in range(1, n):
@@ -159,27 +200,22 @@ def _recover(t):
         w = slot[beta_el]
         target = w - 1 if w > 0 else n - 1  # next slot counter-clockwise
         if white_labels[target]:
-            collided = white_labels[target]
-            if collided != 1:
-                raise AssertionError("collision label must be 1, got %d"
-                                     % collided)
-            return InverseOutcome(
-                success=False, step=i,
-                certificate={"collision_label": collided,
-                             "collision_slot": target,
-                             "beta_element": ["e", b] if beta_el == stop - 1
-                             else ["t", b, stop - 2 - beta_el]})
+            if white_labels[target] != 1:
+                raise InternalCheckError("collision label must be 1, got %d"
+                                         % white_labels[target])
+            return label, white_labels, (i, target, beta_el)
         e = elem[target]
         label[e] = white_labels[target] = i + 1
+    return label, white_labels, None
 
-    # success labels each slot and each black element once: every object
-    # below is valid by construction
-    readings = [label[starts[b]:stops[b]] for b in range(tree.p)]
-    labeled = _trusted(LabeledThornTree, tree=tree,
-                       white_labels=tuple(white_labels),
-                       black_labels=tuple(tuple(r[-2::-1]) for r in readings))
-    # recover beta: split each clockwise reading at its left-to-right maxima
-    images = [0] * n
+
+def _cycles(shape, label):
+    """(clockwise readings, beta's images, pi's blocks) of a completed
+    label walk: each reading splits into beta's cycles at its
+    left-to-right maxima, and is one block."""
+    starts, stops = shape[0], shape[1]
+    readings = [label[a:z] for a, z in zip(starts, stops)]
+    images = [0] * len(label)
     for reading in readings:
         head = last = reading[0]
         for lab in reading[1:]:
@@ -190,11 +226,16 @@ def _recover(t):
             last = lab
         images[head - 1] = last
     # each block is a union of beta's cycles; disjoint blocks sort by minimum
-    pi = _trusted(SetPartition, n=n,
-                  blocks=tuple(sorted(tuple(sorted(r)) for r in readings)))
-    m = _trusted(BlackPartitionedStarMap,
-                 beta=_trusted(Permutation, n=n, images=tuple(images)), pi=pi)
-    return InverseOutcome(success=True, map=m, labeled=labeled)
+    blocks = tuple(sorted(tuple(sorted(r)) for r in readings))
+    return readings, tuple(images), blocks
+
+
+def _map(images, blocks):
+    """The star map of a completed label walk's beta and blocks."""
+    n = len(images)
+    return _trusted(BlackPartitionedStarMap,
+                    beta=_trusted(Permutation, n=n, images=images),
+                    pi=_trusted(SetPartition, n=n, blocks=blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +263,59 @@ def aux_graph(t):
     tree = t.tree
     if tree.n == 0 or tree.white[0] is None:
         raise NoP1Error("leftmost root slot is not an edge")
-    sigma = dict(t.sigma)
-    out = {}
-    # slot 0 holds the root's edge; the other edges follow in root order
+    out, thorn_left = _aux_parts(tree)
+    for b, k in thorn_left:
+        out[b] = t.sigma[k][1][0]
+    return AuxGraph(tree.p, tree.white[0],
+                    {b: out[b] for b in range(1, tree.p)})
+
+
+def _aux_parts(tree):
+    """The auxiliary graph of a tree with (P1), as far as its shape fixes
+    it: (out, thorn_left).  ``out[b]`` is b's successor wherever an edge
+    slot sits left of b's edge; ``thorn_left`` lists the other non-root
+    vertices b as pairs (b, k), the slot left of b's edge being the k-th
+    white thorn, so that sigma's partner of that thorn names b's
+    successor.  Slot 0 holds the root's edge; the other edges follow in
+    root order.
+    """
+    out = [None] * tree.p
+    thorn_left = []
+    k = 0
+    white = tree.white
     for s in range(1, tree.n):
-        b = tree.white[s]
-        if b is not None:
-            v = tree.white[s - 1]
-            out[b] = v if v is not None else sigma[s - 1][0]
-    return AuxGraph(tree.p, tree.white[0], out)
+        left = white[s - 1]
+        if left is None:
+            if white[s] is not None:
+                thorn_left.append((white[s], k))
+            k += 1
+        elif white[s] is not None:
+            out[white[s]] = left
+    return out, thorn_left
+
+
+def _verdict(root, out, p):
+    """None if every black vertex's successors reach the root, else the
+    oriented cycle that closes first.
+
+    Follows each vertex's successors until a vertex already known to
+    reach the root, or one already on the current path: that closes the
+    cycle.  ``out[v]`` is read for every vertex v but the root.
+    """
+    reaches_root = [None] * p  # False: on the current path
+    reaches_root[root] = True
+    for start in range(p):
+        path = []
+        v = start
+        while reaches_root[v] is None:
+            reaches_root[v] = False
+            path.append(v)
+            v = out[v]
+        if not reaches_root[v]:
+            return tuple(path[path.index(v):])
+        for u in path:
+            reaches_root[u] = True
+    return None
 
 
 class Classification(Value):
@@ -252,29 +337,15 @@ class Classification(Value):
 
 
 def classify(t):
-    """Image iff (P1) holds and the auxiliary graph is a rooted tree.
-
-    Follows each vertex's successors until a vertex already known to
-    reach the root, or one already on the current path: that closes the
-    oriented cycle the verdict names.
-    """
+    """Image iff (P1) holds and the auxiliary graph is a rooted tree."""
     try:
         g = aux_graph(t)
     except NoP1Error:
         return Classification("no_p1")
-    reaches_root = {g.root: True}  # False: on the current path
-    for start in range(g.p):
-        path = []
-        v = start
-        while v not in reaches_root:
-            reaches_root[v] = False
-            path.append(v)
-            v = g.out[v]
-        if not reaches_root[v]:
-            return Classification("cycle", tuple(path[path.index(v):]))
-        for u in path:
-            reaches_root[u] = True
-    return Classification("image")
+    cycle = _verdict(g.root, g.out, g.p)
+    if cycle is None:
+        return Classification("image")
+    return Classification("cycle", cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +382,8 @@ def contract(t, marked):
     s = t.tree.edge_slot(marked)
     marked_elem = _element(slots, slots[s - 1])
     if marked_elem[1] != target:
-        raise AssertionError("marked element %r is not on the successor %d"
-                             % (marked_elem, target))
+        raise InternalCheckError("marked element %r is not on the successor "
+                                 "%d" % (marked_elem, target))
     blacks[target].extend(blacks[marked])
     del slots[s]
     return _pack(slots), _element(slots, slots[s - 1])
@@ -361,15 +432,99 @@ def proportion_stats(lam, budget=DEFAULT_PAIR_BUDGET):
     P is the share of image trees among all trees, P' their share among
     the trees satisfying (P1), and the P1 incidence is the share of trees
     satisfying (P1).  The closed forms are 1/(n-p+1), n/(p(n-p+1)) and p/n.
+
+    Each sigma is read as the black vertex of each white thorn's partner,
+    and the verdict walk runs once per shape and distinct tuple of the
+    vertices the auxiliary graph reads.
     """
+    from collections import Counter
     from fractions import Fraction
 
     if lam.size < 1:
         raise ValueError("n must be >= 1")
+    _check(lam.size, budget, "permuted-tree", long_cycle=False)
     total = with_p1 = image = 0
-    for t in all_permuted_trees(lam, budget):
-        total += 1
-        with_p1 += t.tree.white[0] is not None
-        image += classify(t).kind == "image"
+    for tree in all_star_thorn_trees(lam):
+        sigmas = iperm([b for b, _ in tree.black_thorn_coords()])
+        if tree.white[0] is None:
+            total += sum(1 for _ in sigmas)
+            continue
+        out, thorn_left = _aux_parts(tree)
+        pick = _picker([k for _, k in thorn_left])
+        for targets, k in Counter(map(pick, sigmas)).items():
+            with_p1 += k
+            if _is_image(out, thorn_left, targets):
+                image += k
+    total += with_p1
     return (Fraction(image, total), Fraction(image, with_p1),
             Fraction(with_p1, total))
+
+
+def _is_image(out, thorn_left, targets):
+    """The verdict on one sigma of a shape with (P1), from ``_aux_parts``
+    of the shape and the black vertex of each thorn in ``thorn_left``."""
+    for (b, _), v in zip(thorn_left, targets):
+        out[b] = v
+    return _verdict(0, out, len(out)) is None
+
+
+def _picker(ks):
+    """A function reading entries ``ks`` of a tuple, as a tuple."""
+    if len(ks) == 1:
+        k, = ks
+        return lambda s: (s[k],)
+    return itemgetter(*ks) if ks else lambda s: ()
+
+
+def roundtrip_stats(lam, budget=DEFAULT_PAIR_BUDGET):
+    """Psi against its inverse and classify, over every star map and every
+    permuted thorn tree of type lam.
+
+    Returns (images, failures, agree):
+      images    the number of distinct trees that Psi reaches;
+      failures  (map, recovered map or None) for each map m that the
+                inverse does not give back from Psi(m), in sweep order,
+                then the maps whose image was never swept;
+      agree     whether classify calls exactly the recoverable trees
+                images.
+    Each tree shape's sigmas are walked on plain tuples: the inverse's
+    label walk runs per sigma, the verdict walk once per distinct tuple
+    of the black vertices that the auxiliary graph reads.
+    """
+    preimage = {}
+    for m in all_star_maps(lam, budget):
+        t = psi(m)
+        preimage[t.tree.white, t.tree.blacks,
+                 tuple(bt for _, bt in t.sigma)] = m
+    images = len(preimage)
+    failures = []
+    agree = True
+    for tree in all_star_thorn_trees(lam):
+        shape = _shape(tree)
+        wslots = tree.white_thorn_slots()
+        p1 = tree.white[0] is not None
+        if p1:
+            out, thorn_left = _aux_parts(tree)
+            ks = [k for _, k in thorn_left]
+            verdicts = {}
+        for sigma in iperm(tree.black_thorn_coords()):
+            label, _, collision = _label_walk(shape, zip(wslots, sigma))
+            is_image = False
+            if p1:
+                targets = tuple(sigma[k][0] for k in ks)
+                is_image = verdicts.get(targets)
+                if is_image is None:
+                    is_image = verdicts[targets] = _is_image(
+                        out, thorn_left, targets)
+            agree &= is_image == (collision is None)
+            m = preimage.pop((tree.white, tree.blacks, sigma), None)
+            if m is None:
+                continue
+            if collision is not None:
+                failures.append((m, None))
+                continue
+            _, beta, blocks = _cycles(shape, label)
+            if beta != m.beta.images or blocks != m.pi.blocks:
+                failures.append((m, _map(beta, blocks)))
+    failures += [(m, None) for m in preimage.values()]  # never swept
+    return images, failures, agree

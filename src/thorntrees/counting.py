@@ -16,7 +16,7 @@ from . import oracle
 from .partition import Value, partitions_of
 
 
-class InexactDivisionError(ArithmeticError):
+class InexactDivisionError(oracle.InternalCheckError, ArithmeticError):
     """A division that must be exact by theory was not: internal inconsistency."""
 
 

@@ -37,6 +37,14 @@ class BudgetExceeded(ValueError):
     """Requested enumeration is beyond the configured budget."""
 
 
+class InternalCheckError(AssertionError):
+    """A check that holds by theory failed: the program is inconsistent.
+
+    Raised explicitly, so ``python -O`` keeps it; the CLI reports it as
+    one ``internal check failed`` line with exit 1.
+    """
+
+
 def _check(n, budget, kind, long_cycle=True):
     if n > budget:
         raise BudgetExceeded(

@@ -158,7 +158,10 @@ class BlackPartitionedStarMap(Value):
 
     @property
     def is_star(self):
-        return self.alpha.is_long_cycle()
+        """alpha is a long cycle: one walk over beta's images."""
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        return _long_complement([x - 1 for x in self.beta.images])
 
     def type_of(self):
         """Block degree distribution (block sizes, since every edge of a

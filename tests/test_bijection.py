@@ -466,3 +466,50 @@ def test_large_roundtrip():
     assert m.is_star and m.beta.cycle_type() == Partition([size] * 10)
     out = psi_inverse(psi(m))
     assert out.success and out.map == m
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_proportion_stats_matches_the_object_path(n):
+    """The per-shape sweep on plain tuples against a count over every
+    PermutedThornTree object, each one classified on its own."""
+    for lam in partitions_of(n):
+        total = with_p1 = image = 0
+        for t in all_permuted_trees(lam, 7):
+            total += 1
+            with_p1 += t.tree.white[0] is not None
+            image += classify(t).kind == "image"
+        assert proportion_stats(lam, 7) == (
+            Fraction(image, total), Fraction(image, with_p1),
+            Fraction(with_p1, total)), lam
+
+
+def _map_from_the_alpha_side(n, seed):
+    """A uniform star map of size n: a uniform n-cycle alpha, beta =
+    alpha^{-1} (1 2 .. n), and beta's cycles merged into random blocks."""
+    import random
+
+    rng = random.Random(seed)
+    order = [1] + rng.sample(range(2, n + 1), n - 1)
+    alpha_inv = [0] * (n + 1)
+    for a, b in zip(order, order[1:] + order[:1]):
+        alpha_inv[b] = a
+    beta = Permutation(alpha_inv[k % n + 1] for k in range(1, n + 1))
+    cycles = beta.cycles()
+    rng.shuffle(cycles)
+    groups = {}
+    for cyc in cycles:
+        groups.setdefault(rng.randrange(len(cycles)), []).extend(cyc)
+    return BlackPartitionedStarMap(beta, SetPartition(n, groups.values()))
+
+
+@pytest.mark.parametrize("n,seed", [(1000, 1), (1000, 2), (3000, 3),
+                                    (3000, 4)])
+def test_seeded_roundtrips_from_the_alpha_side(n, seed):
+    m = _map_from_the_alpha_side(n, seed)
+    assert m.is_star and m.alpha.is_long_cycle()
+    t = psi(m)
+    assert psi_inverse(t).map == m
+    assert classify(t).kind == "image"
+    assert deserialize(serialize(t)) == t
+    for obj in (m, t, aux_graph(t)):
+        assert to_dot(obj).endswith("}\n")

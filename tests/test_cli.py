@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thorntrees import bijection, structures
-from thorntrees.bijection import InverseOutcome, psi, psi_inverse
+from thorntrees.bijection import psi, psi_inverse
 from thorntrees.cli import main
+from thorntrees.counting import count_A
 from thorntrees.structures import deserialize
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -174,6 +175,8 @@ SWEEP_STDOUT_SHA256 = {
         "c10685d9f4d2c1faadae6db9487add44e2d9aad5f464fb87691b81d7d9ba47d0",
     "verify bijection 6 --budget 6":
         "c10685d9f4d2c1faadae6db9487add44e2d9aad5f464fb87691b81d7d9ba47d0",
+    "verify bijection 7 --budget 7":
+        "ed4c4112a26df748345f04b1139722ee92c6b13c914988727566ebd3e692de4d",
     "verify proportions 1":
         "5bb1cc2a1c6fefe1675ad388108a084b8e279ee7e915d27bfa28d582a94722dc",
     "verify proportions 2":
@@ -188,6 +191,8 @@ SWEEP_STDOUT_SHA256 = {
         "d819dd26ed07b432a9531a9a5387e5b85c2c455b3800cb9f58b5208003f0d486",
     "verify proportions 7 --budget 7":
         "c2d0905c4d88fdeaac548bf9771c0c3c2770441c4f5af9569d7cc14cf96ad036",
+    "verify proportions 8 --budget 8":
+        "688c473d9371b09fa375611311fbb19784769f786e4d547277910302c7b76e44",
 }
 
 
@@ -579,8 +584,9 @@ def _suite_items(capsys, *argv):
 
 
 def test_verify_bijection_reports_wrong_inverse(capsys, monkeypatch):
-    monkeypatch.setattr(bijection, "_recover", lambda t: InverseOutcome(
-        success=False, step=1, certificate={}))
+    # every label walk collides at step 1: no tree recovers its map
+    monkeypatch.setattr(bijection, "_label_walk",
+                        lambda shape, sigma: ([], [], (1, 0, 0)))
     code, items = _suite_items(capsys, "verify", "bijection", "3")
     assert code == 1
     failed = [it["check"] for it in items if not it["ok"]]
@@ -589,9 +595,10 @@ def test_verify_bijection_reports_wrong_inverse(capsys, monkeypatch):
 
 
 def test_verify_bijection_reports_unswept_image(capsys, monkeypatch):
-    every_tree = structures.all_permuted_trees
-    monkeypatch.setattr(structures, "all_permuted_trees",
-                        lambda lam, budget: list(every_tree(lam, budget))[1:])
+    # the sweep walks every tree shape but the first of each type
+    every_shape = structures.all_star_thorn_trees
+    monkeypatch.setattr(bijection, "all_star_thorn_trees",
+                        lambda lam: list(every_shape(lam))[1:])
     code, items = _suite_items(capsys, "verify", "bijection", "3")
     assert code == 1
     roundtrips = [it for it in items if it["check"].startswith("roundtrip")]
@@ -609,6 +616,18 @@ def test_internal_check_failure_is_exit_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "internal check failed: inverse self-check failed\n"
+
+
+def test_solver_inconsistency_is_exit_1(capsys, monkeypatch):
+    from thorntrees import counting
+
+    monkeypatch.setattr(counting, "count_A",
+                        lambda mu: 0 if mu == (3, 2, 1) else count_A(mu))
+    code, out, err = run(capsys, "table", "B", "5")
+    assert code == 1
+    assert out == ""
+    assert err == ("internal check failed: negative B(Partition(2, 2, 1)) "
+                   "= -5\n")
 
 
 # ---------------------------------------------------------------------------

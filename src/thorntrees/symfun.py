@@ -1,100 +1,153 @@
 """Exact symmetric-function layer over the monomial and power-sum bases.
 
-A degree-n symmetric polynomial is a dense rational coefficient vector
-indexed by the partitions of n.  The m_lam coefficient of p_nu counts the
-ways to drop the parts of nu into the parts of lam, filling each exactly
-(Macdonald, Symmetric Functions, I.6); m_to_p solves the triangular
-system these counts form.  ``evaluate`` checks both directions.
+A degree-n symmetric polynomial is a sparse map from the partitions of n
+to exact coefficients: ``int``, or ``Fraction`` only where a coefficient
+is really non-integral, so ``fractions`` is imported only then.  The m_lam
+coefficient of p_nu counts the ways to drop the parts of nu into the parts
+of lam, filling each exactly (Macdonald, Symmetric Functions, I.6);
+``_row`` lists these counts for one nu, and ``p_to_m`` and ``m_to_p`` are
+the two directions over those rows.  ``evaluate`` checks both.
 """
 
-from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import permutations as iperm
 from math import factorial
 
 from .counting import count_A, count_C, count_D, solve_B
-from .partition import Partition, Value, partitions_of
+from .partition import Partition, Value, _require_ints, partitions_of
+
+
+def _exact(c):
+    """An int or a Fraction as an int when it is whole, else as it is."""
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+
+    if not isinstance(c, Fraction):
+        raise ValueError("coefficients must be int or Fraction, found %r"
+                         % (c,))
+    return c.numerator if c.denominator == 1 else c
 
 
 class SymPoly(Value):
     """Homogeneous symmetric polynomial tagged with its basis: ``basis`` is
-    "m" (monomial) or "p" (power sum), and ``coeffs`` maps a Partition to
-    its Fraction coefficient (zero entries may be omitted)."""
+    "m" (monomial) or "p" (power sum), and ``coeffs`` maps a Partition of
+    ``degree`` to its coefficient, an int or a non-integral Fraction (zero
+    entries are dropped)."""
 
     __slots__ = _fields = ("degree", "basis", "coeffs")
 
     def __init__(self, degree, basis, coeffs):
         if basis not in ("m", "p"):
             raise ValueError("basis must be 'm' or 'p'")
-        clean = {lam: Fraction(c) for lam, c in coeffs.items()
-                 if Fraction(c) != 0}
-        for lam in clean:
-            if lam.size != degree:
-                raise ValueError("index %r has wrong degree" % (lam,))
+        _require_ints([degree], "degree")
+        clean = {}
+        for lam, c in coeffs.items():
+            if not isinstance(lam, Partition) or lam.size != degree:
+                raise ValueError("index %r is not a Partition of %d"
+                                 % (lam, degree))
+            c = _exact(c)
+            if c:
+                clean[lam] = c
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", clean)
 
     def __getitem__(self, lam):
-        return self.coeffs.get(lam, Fraction(0))
+        return self.coeffs.get(lam, 0)
 
     def __add__(self, other):
         if (self.degree, self.basis) != (other.degree, other.basis):
             raise ValueError("degree/basis mismatch")
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
+            out[lam] = out.get(lam, 0) + c
         return SymPoly(self.degree, self.basis, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         return SymPoly(self.degree, self.basis,
                        {lam: c * v for lam, v in self.coeffs.items()})
 
 
-@lru_cache(maxsize=None)
-def _fill(parts, room):
-    """Ways to drop each of ``parts`` into a slot of ``room`` (same total)
-    so that every slot is filled exactly: the m_room coefficient of p_parts.
-    The count is symmetric in the slots, so ``room`` is kept sorted."""
-    if not parts:
-        return 1
-    first, rest = parts[0], parts[1:]
-    total = 0
-    for i, r in enumerate(room):
-        if r == first:  # the slot is full: drop it
-            total += _fill(rest, room[:i] + room[i + 1:])
-        elif r > first:
-            left = sorted(room[:i] + (r - first,) + room[i + 1:], reverse=True)
-            total += _fill(rest, tuple(left))
-    return total
+@cache
+def _partitions(d):
+    """The partitions of d in increasing lexicographic order, built once
+    per degree: the keys of every polynomial the kernels return."""
+    return tuple(reversed(tuple(partitions_of(d))))
+
+
+def _poly(d, basis, coeffs):
+    """A SymPoly from a kernel's dict on plain tuples or Partitions: its
+    keys become the degree's own Partitions, in increasing order."""
+    return SymPoly(d, basis, {lam: coeffs[lam] for lam in _partitions(d)
+                              if lam in coeffs})
+
+
+@cache
+def _row(nu):
+    """The m-expansion of p_nu as a dict {lam: [m_lam] p_nu} on plain tuples.
+
+    p_nu = p_k * p_rest with k = nu[0].  Multiplying m_mu by p_k adds k to
+    one part of a monomial: to a part of value v of mu, or as a new part
+    (v = 0).  The m_lam it gives, lam holding v + k in place of v, has
+    coefficient m_{v+k}(lam), the number of parts of lam that can have
+    received k.  Diagonal: [m_nu] p_nu = Aut(nu)."""
+    if not nu:
+        return {(): 1}
+    k = nu[0]
+    out = {}
+    for mu, c in _row(nu[1:]).items():
+        for i, v in enumerate(mu + (0,)):
+            if i and mu[i - 1] == v:  # an equal part gives the same lam
+                continue
+            lam = tuple(sorted(mu[:i] + (v + k,) + mu[i + 1:], reverse=True))
+            out[lam] = out.get(lam, 0) + c * lam.count(v + k)
+    return out
 
 
 def p_to_m(f):
     """Rewrite a power-sum-basis polynomial in the monomial basis."""
     if f.basis != "p":
         raise ValueError("expected power-sum basis input")
-    return SymPoly(f.degree, "m", {
-        lam: sum(c * _fill(nu, lam) for nu, c in f.coeffs.items())
-        for lam in partitions_of(f.degree)})
+    out = {}
+    for nu, c in f.coeffs.items():
+        for lam, k in _row(nu).items():
+            out[lam] = out.get(lam, 0) + c * k
+    return _poly(f.degree, "m", out)
 
 
 def m_to_p(f):
     """Rewrite a monomial-basis polynomial in the power-sum basis.
 
-    p_nu has m_lam terms only for lam coarser than nu, so in increasing
-    lexicographic order each m_lam equation meets one new unknown, p_lam,
-    with coefficient _fill(lam, lam) = Aut(lam)."""
+    p_lam has m-terms only at lam and at partitions coarser than lam,
+    which come later in increasing lexicographic order.  So in that
+    order the m_lam coefficient left over is Aut(lam) times the p_lam
+    coefficient, and subtracting that multiple of p_lam clears it.  The
+    division is in integers whenever Aut(lam) divides the value."""
     if f.basis != "m":
         raise ValueError("expected monomial basis input")
+    rest = dict(f.coeffs)
     out = {}
-    for lam in reversed(list(partitions_of(f.degree))):
-        out[lam] = (f[lam] - sum(b * _fill(nu, lam)
-                                 for nu, b in out.items())) / lam.aut()
-    return SymPoly(f.degree, "p", out)
+    for lam in _partitions(f.degree):
+        c = rest.get(lam)
+        if not c:
+            continue
+        row = _row(lam)
+        aut = row[lam]
+        if type(c) is int and c % aut == 0:
+            b = c // aut
+        else:
+            from fractions import Fraction
+
+            b = Fraction(c, aut)
+        out[lam] = b
+        for mu, k in row.items():
+            rest[mu] = rest.get(mu, 0) - b * k
+    return _poly(f.degree, "p", out)
 
 
 def delta(f):
@@ -108,12 +161,14 @@ def delta(f):
     for pi, c in f.coeffs.items():
         for i, m in pi.multiplicities().items():
             tgt = pi.up(i)
-            out[tgt] = out.get(tgt, Fraction(0)) + c * i * m
-    return SymPoly(f.degree + 1, "p", out)
+            out[tgt] = out.get(tgt, 0) + c * i * m
+    return _poly(f.degree + 1, "p", out)
 
 
 def elementary_in_p(n):
     """e_n = sum_{nu of n} (-1)^{n - len(nu)} p_nu / z_nu."""
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("n must be >= 1")
     coeffs = {nu: Fraction((-1) ** (n - nu.length), nu.z())
@@ -123,6 +178,8 @@ def elementary_in_p(n):
 
 def evaluate(f, xs):
     """Evaluate at a rational point (remaining variables are zero)."""
+    from fractions import Fraction
+
     xs = [Fraction(x) for x in xs]
     total = Fraction(0)
     for lam, c in f.coeffs.items():
@@ -140,7 +197,7 @@ def evaluate(f, xs):
 
 
 def _prodpow(xs, expo):
-    v = Fraction(1)
+    v = 1
     for x, e in zip(xs, expo):
         v *= x ** e
     return v
@@ -150,38 +207,50 @@ def _prodpow(xs, expo):
 # Identity verifiers
 
 
-def _report(name, n, pairs):
-    """pairs: list of (label, lhs, rhs); exact comparison."""
-    diffs = [{"index": label, "lhs": str(l), "rhs": str(r)}
-             for label, l, r in pairs if l != r]
+def _diffs(pairs, prefix=""):
+    """The (lam, lhs, rhs) triples with lhs != rhs, as report entries
+    indexed by lam in exponential notation; exact comparison."""
+    return [{"index": prefix + lam.exponential(), "lhs": str(l),
+             "rhs": str(r)} for lam, l, r in pairs if l != r]
+
+
+def _compare(n, lhs, rhs):
+    """Entries of lhs and rhs that differ, for lam of n in decreasing
+    lexicographic order."""
+    return _diffs((lam, lhs[lam], rhs[lam])
+                  for lam in reversed(_partitions(n)))
+
+
+def _report(name, n, diffs):
     return {"check": name, "n": n, "ok": not diffs, "diffs": diffs}
 
 
-def _count_sum_m(n, values):
-    """sum_lam values(lam) * Aut(lam) * m_lam as a SymPoly."""
-    return SymPoly(n, "m", {lam: Fraction(values(lam) * lam.aut())
-                            for lam in partitions_of(n)})
+def _aut_weighted(n, count):
+    """sum_lam count(lam) * Aut(lam) * m_lam as a SymPoly."""
+    return SymPoly(n, "m", {lam: count(lam) * lam.aut()
+                            for lam in _partitions(n)})
+
+
+@cache
+def _B(n):
+    """solve_B(n), solved once for verify_D2B and verify_reduction."""
+    return solve_B(n)
 
 
 def verify_C2A(n):
     """sum_mu C(mu) Aut(mu) m_mu = sum_nu A(nu) p_nu, coefficient-exact."""
-    lhs = _count_sum_m(n, count_C)
-    rhs = p_to_m(SymPoly(n, "p", {nu: Fraction(count_A(nu))
-                                  for nu in partitions_of(n)}))
-    return _report("C2A", n,
-                   [(lam.exponential(), lhs[lam], rhs[lam])
-                    for lam in partitions_of(n)])
+    lhs = _aut_weighted(n, count_C)
+    rhs = p_to_m(SymPoly(n, "p", {nu: count_A(nu)
+                                  for nu in _partitions(n)}))
+    return _report("C2A", n, _compare(n, lhs, rhs))
 
 
 def verify_D2B(n):
     """sum_lam D(lam) Aut(lam) m_lam = sum_pi B(pi) p_pi, coefficient-exact."""
-    B = solve_B(n)
-    lhs = _count_sum_m(n, count_D)
-    rhs = p_to_m(SymPoly(n, "p", {pi: Fraction(B[pi])
-                                  for pi in partitions_of(n)}))
-    return _report("D2B", n,
-                   [(lam.exponential(), lhs[lam], rhs[lam])
-                    for lam in partitions_of(n)])
+    B = _B(n)
+    lhs = _aut_weighted(n, count_D)
+    rhs = p_to_m(SymPoly(n, "p", B.entries))
+    return _report("D2B", n, _compare(n, lhs, rhs))
 
 
 def verify_reduction(n):
@@ -194,17 +263,16 @@ def verify_reduction(n):
     """
     d = n + 1
     ones = Partition([1] * d)
-    lhs_m = _count_sum_m(d, count_C) - SymPoly(
-        d, "m", {ones: Fraction(factorial(d))})
+    lhs_m = _aut_weighted(d, count_C) - SymPoly(d, "m", {ones: factorial(d)})
     lhs = m_to_p(lhs_m)
-    rhs = delta(m_to_p(_count_sum_m(n, count_D))).scale(d)
-    pairs = [(nu.exponential(), lhs[nu], rhs[nu]) for nu in partitions_of(d)]
+    rhs = delta(m_to_p(_aut_weighted(n, count_D))).scale(d)
 
     # coefficient extraction against the main counting equation:
     # A(mu)(1 + (-1)^(n - len(mu))) = (n+1) sum_{lam: mu = lam^(up i)}
     #                                 i * m_i(lam) * B(lam)
-    B = solve_B(n)
-    for mu in partitions_of(d):
+    B = _B(n)
+    pairs = []
+    for mu in reversed(_partitions(d)):
         lhs_c = count_A(mu) * (1 + (-1) ** ((n - mu.length) % 2))
         rhs_c = 0
         for j in sorted(set(mu)):
@@ -212,5 +280,6 @@ def verify_reduction(n):
                 lam = mu.down(j)
                 rhs_c += (j - 1) * lam.multiplicity(j - 1) * B[lam]
         rhs_c *= d
-        pairs.append(("extract " + mu.exponential(), lhs_c, rhs_c))
-    return _report("reduction", n, pairs)
+        pairs.append((mu, lhs_c, rhs_c))
+    return _report("reduction", n,
+                   _compare(d, lhs, rhs) + _diffs(pairs, "extract "))

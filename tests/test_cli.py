@@ -145,6 +145,10 @@ IDENTITIES_STDOUT_SHA256 = {
     7: "a681842c98b18e5297c4d2406c2c27b0cb28f53901257a98428e5fe2bb1dd442",
     8: "08a62e3860c428c7dd20c00b5bd8180b550bf3f22195cb42af1d095bf61f3110",
     9: "81810f90a6bfce19b2ae06f6d30b222cbedf248b1eda36f1cf692c4e745a286c",
+    # captured while the transitions still summed Fraction coefficients
+    10: "c35beefca9f18aecb0053251b6262aa745a8d46194d2ccf1f819a393879da8d0",
+    11: "9886fe8f957b4ca27d10960ec3f25d1833bc58384ee3c28bed686e6d668d358f",
+    12: "1f47e5200289933da428e98c974efbf857c72bb9ed5f97027e975bebfe14d255",
 }
 
 
@@ -771,12 +775,34 @@ def test_thorn_ranks_out_of_order_are_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["table", family, "99999999999999999999"] for family in "ACD"]
-    + [["verify", "identities", "99999999999999999999"]])
+    ["table", family, "99999999999999999999"] for family in "ACD"])
 def test_n_too_large_for_factorial_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+IDENTITIES_REFUSED = """{
+  "command": "verify identities %s",
+  "items": [],
+  "reason": "n=%s exceeds identities limit 20",
+  "status": "refused"
+}
+"""
+
+
+@pytest.mark.parametrize("n", ["21", "40", "99999999999999999999"])
+def test_identities_limit_refusals_pinned(capsys, n):
+    """Above the limit the suite is refused before any partition is
+    listed; at n = 10**20 it used to stop in factorial with an error line."""
+    code, out, err = run(capsys, "verify", "identities", n)
+    assert (code, out) == (2, IDENTITIES_REFUSED % (n, n))
+    assert err.startswith("wall time:") and err.count("\n") == 1
+
+
+def test_verify_identities_at_the_limit_passes(capsys):
+    code, out, _ = run(capsys, "verify", "identities", "20")
+    assert code == 0 and json.loads(out)["status"] == "pass"
 
 
 # stdout of `verify zagier 8`, captured before the CLI imported its layers
@@ -787,6 +813,7 @@ ZAGIER_8_STDOUT_SHA256 = (
 OPTIMIZED_RUNS = [
     (["table", "B", "8"], TABLE_STDOUT_SHA256["B", "8"]),
     (["verify", "zagier", "8"], (0, ZAGIER_8_STDOUT_SHA256)),
+    (["verify", "identities", "9"], (0, IDENTITIES_STDOUT_SHA256[9])),
     (["transform", "psi", "fixtures/example21.json"],
      TRANSFORM_STDOUT_SHA256["psi", "example21.json"]),
     (["transform", "invert", "fixtures/ex1.json"],

@@ -95,6 +95,14 @@ def test_solver_commands_load_no_fractions(argv):
     assert not loaded & HEAVY
 
 
+def test_verify_identities_loads_no_fractions():
+    # every verifier input has an integral p-expansion, so no coefficient
+    # of a passing run becomes a Fraction
+    loaded = loaded_by("verify", "identities", "8")
+    assert "thorntrees.symfun" in loaded
+    assert not loaded & HEAVY
+
+
 def test_verify_identities_loads_no_tree_layer():
     loaded = loaded_by("verify", "identities", "3")
     assert {"thorntrees.symfun", "thorntrees.counting"} <= loaded

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thorntrees.partition import Partition, partitions_of
 from thorntrees.symfun import (
@@ -52,10 +53,23 @@ def test_p_to_m_agrees_with_evaluation(n):
 
 
 def test_m_to_p_small():
-    # m_{1,1} = (p_1^2 - p_2) / 2
+    # m_{1,1} = (p_1^2 - p_2) / 2, with non-integral Fraction coefficients
     f = m_to_p(SymPoly(2, "m", {P(1, 1): 1}))
-    assert f[P(1, 1)] == Fraction(1, 2)
-    assert f[P(2)] == Fraction(-1, 2)
+    assert f.coeffs == {P(1, 1): Fraction(1, 2), P(2): Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in f.coeffs.values())
+
+
+def test_integral_coefficients_come_back_as_int():
+    # 2 m_{1,1} = p_1^2 - p_2, and p_to_m of a Fraction input that sums to
+    # whole numbers: no coefficient stays a Fraction once it is whole
+    f = m_to_p(SymPoly(2, "m", {P(1, 1): 2}))
+    assert f.coeffs == {P(1, 1): 1, P(2): -1}
+    g = p_to_m(SymPoly(2, "p", {P(1, 1): Fraction(1, 2),
+                                P(2): Fraction(-1, 2)}))
+    assert g.coeffs == {P(1, 1): 1}
+    assert SymPoly(1, "p", {P(1): Fraction(4, 2)}).coeffs == {P(1): 2}
+    for h in (f, g, p_to_m(SymPoly(5, "p", {P(3, 2): 7}))):
+        assert all(type(c) is int for c in h.coeffs.values())
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -73,6 +87,34 @@ def test_roundtrip_agrees_with_evaluation(n):
     for lam in partitions_of(n):
         f = SymPoly(n, "m", {lam: 1})
         assert evaluate(f, xs) == evaluate(m_to_p(f), xs)
+
+
+def _exact_coefficient():
+    return st.one_of(st.integers(-50, 50),
+                     st.fractions(min_value=-20, max_value=20,
+                                  max_denominator=12))
+
+
+@st.composite
+def _sympolys(draw):
+    n = draw(st.integers(1, 6))
+    parts = list(partitions_of(n))
+    keys = draw(st.lists(st.sampled_from(parts), unique=True, max_size=6))
+    return n, {lam: draw(_exact_coefficient()) for lam in keys}
+
+
+@settings(deadline=None, max_examples=60)
+@given(_sympolys())
+def test_random_exact_polynomials_roundtrip_and_evaluate(drawn):
+    n, coeffs = drawn
+    xs = [Fraction(1), Fraction(-2, 3), Fraction(3), Fraction(1, 2),
+          Fraction(-1), Fraction(2, 5)][:n]
+    f = SymPoly(n, "p", coeffs)
+    g = SymPoly(n, "m", coeffs)
+    assert m_to_p(p_to_m(f)) == f
+    assert p_to_m(m_to_p(g)) == g
+    assert evaluate(p_to_m(f), xs) == evaluate(f, xs)
+    assert evaluate(m_to_p(g), xs) == evaluate(g, xs)
 
 
 def test_delta_on_power_sums():
@@ -120,6 +162,17 @@ def test_sympoly_arithmetic_and_validation():
         SymPoly(2, "m", {P(3): 1})
     with pytest.raises(ValueError):
         a + SymPoly(3, "m", {P(3): 1})
+
+
+def test_sympoly_refuses_a_plain_tuple_key():
+    with pytest.raises(ValueError, match="not a Partition"):
+        SymPoly(2, "m", {(1, 1): 1})
+
+
+@pytest.mark.parametrize("c", [1.5, True, "1/2"])
+def test_sympoly_refuses_a_coefficient_that_is_not_int_or_fraction(c):
+    with pytest.raises(ValueError, match="int or Fraction"):
+        SymPoly(2, "m", {P(1, 1): c})
 
 
 @pytest.mark.parametrize("n", range(1, 13))

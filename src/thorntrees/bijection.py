@@ -10,7 +10,6 @@ that edge's black vertex (P2).
 """
 
 from itertools import chain, permutations as iperm
-from operator import itemgetter
 
 from .oracle import DEFAULT_PAIR_BUDGET, InternalCheckError, _check
 from .partition import SetPartition, Value, _trusted
@@ -294,17 +293,17 @@ def _aux_parts(tree):
     return out, thorn_left
 
 
-def _verdict(root, out, p):
-    """None if every black vertex's successors reach the root, else the
+def _verdict(out):
+    """None if every black vertex's successors reach the root 0, else the
     oriented cycle that closes first.
 
     Follows each vertex's successors until a vertex already known to
     reach the root, or one already on the current path: that closes the
     cycle.  ``out[v]`` is read for every vertex v but the root.
     """
-    reaches_root = [None] * p  # False: on the current path
-    reaches_root[root] = True
-    for start in range(p):
+    reaches_root = [None] * len(out)  # False: on the current path
+    reaches_root[0] = True
+    for start in range(len(out)):
         path = []
         v = start
         while reaches_root[v] is None:
@@ -316,6 +315,30 @@ def _verdict(root, out, p):
         for u in path:
             reaches_root[u] = True
     return None
+
+
+def _verdicts(tree):
+    """None when a tree shape lacks (P1), else its verdict on each sigma,
+    given as black-thorn coordinates in white-thorn order: ``_verdict``'s
+    result, None for an image, else the oriented cycle.  Root order puts
+    black 0 in slot 0 under (P1), so 0 is the root; the walk runs once
+    per distinct tuple of the black vertices the graph reads from sigma.
+    """
+    if not tree.white or tree.white[0] is None:
+        return None
+    out, thorn_left = _aux_parts(tree)
+    ks = [k for _, k in thorn_left]
+    known = {}
+
+    def verdict(sigma):
+        targets = tuple([sigma[k][0] for k in ks])
+        if targets not in known:
+            for (b, _), v in zip(thorn_left, targets):
+                out[b] = v
+            known[targets] = _verdict(out)
+        return known[targets]
+
+    return verdict
 
 
 class Classification(Value):
@@ -338,11 +361,10 @@ class Classification(Value):
 
 def classify(t):
     """Image iff (P1) holds and the auxiliary graph is a rooted tree."""
-    try:
-        g = aux_graph(t)
-    except NoP1Error:
+    verdict = _verdicts(t.tree)
+    if verdict is None:
         return Classification("no_p1")
-    cycle = _verdict(g.root, g.out, g.p)
+    cycle = verdict([bt for _, bt in t.sigma])
     if cycle is None:
         return Classification("image")
     return Classification("cycle", cycle)
@@ -432,12 +454,7 @@ def proportion_stats(lam, budget=DEFAULT_PAIR_BUDGET):
     P is the share of image trees among all trees, P' their share among
     the trees satisfying (P1), and the P1 incidence is the share of trees
     satisfying (P1).  The closed forms are 1/(n-p+1), n/(p(n-p+1)) and p/n.
-
-    Each sigma is read as the black vertex of each white thorn's partner,
-    and the verdict walk runs once per shape and distinct tuple of the
-    vertices the auxiliary graph reads.
     """
-    from collections import Counter
     from fractions import Fraction
 
     if lam.size < 1:
@@ -445,35 +462,14 @@ def proportion_stats(lam, budget=DEFAULT_PAIR_BUDGET):
     _check(lam.size, budget, "permuted-tree", long_cycle=False)
     total = with_p1 = image = 0
     for tree in all_star_thorn_trees(lam):
-        sigmas = iperm([b for b, _ in tree.black_thorn_coords()])
-        if tree.white[0] is None:
-            total += sum(1 for _ in sigmas)
-            continue
-        out, thorn_left = _aux_parts(tree)
-        pick = _picker([k for _, k in thorn_left])
-        for targets, k in Counter(map(pick, sigmas)).items():
-            with_p1 += k
-            if _is_image(out, thorn_left, targets):
-                image += k
-    total += with_p1
+        sigmas = list(iperm(tree.black_thorn_coords()))
+        total += len(sigmas)
+        verdict = _verdicts(tree)
+        if verdict is not None:
+            with_p1 += len(sigmas)
+            image += list(map(verdict, sigmas)).count(None)
     return (Fraction(image, total), Fraction(image, with_p1),
             Fraction(with_p1, total))
-
-
-def _is_image(out, thorn_left, targets):
-    """The verdict on one sigma of a shape with (P1), from ``_aux_parts``
-    of the shape and the black vertex of each thorn in ``thorn_left``."""
-    for (b, _), v in zip(thorn_left, targets):
-        out[b] = v
-    return _verdict(0, out, len(out)) is None
-
-
-def _picker(ks):
-    """A function reading entries ``ks`` of a tuple, as a tuple."""
-    if len(ks) == 1:
-        k, = ks
-        return lambda s: (s[k],)
-    return itemgetter(*ks) if ks else lambda s: ()
 
 
 def roundtrip_stats(lam, budget=DEFAULT_PAIR_BUDGET):
@@ -488,8 +484,7 @@ def roundtrip_stats(lam, budget=DEFAULT_PAIR_BUDGET):
       agree     whether classify calls exactly the recoverable trees
                 images.
     Each tree shape's sigmas are walked on plain tuples: the inverse's
-    label walk runs per sigma, the verdict walk once per distinct tuple
-    of the black vertices that the auxiliary graph reads.
+    label walk runs per sigma, and the shape's verdicts give classify's.
     """
     preimage = {}
     for m in all_star_maps(lam, budget):
@@ -502,20 +497,10 @@ def roundtrip_stats(lam, budget=DEFAULT_PAIR_BUDGET):
     for tree in all_star_thorn_trees(lam):
         shape = _shape(tree)
         wslots = tree.white_thorn_slots()
-        p1 = tree.white[0] is not None
-        if p1:
-            out, thorn_left = _aux_parts(tree)
-            ks = [k for _, k in thorn_left]
-            verdicts = {}
+        verdict = _verdicts(tree)
         for sigma in iperm(tree.black_thorn_coords()):
             label, _, collision = _label_walk(shape, zip(wslots, sigma))
-            is_image = False
-            if p1:
-                targets = tuple(sigma[k][0] for k in ks)
-                is_image = verdicts.get(targets)
-                if is_image is None:
-                    is_image = verdicts[targets] = _is_image(
-                        out, thorn_left, targets)
+            is_image = verdict is not None and verdict(sigma) is None
             agree &= is_image == (collision is None)
             m = preimage.pop((tree.white, tree.blacks, sigma), None)
             if m is None:

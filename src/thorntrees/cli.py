@@ -89,9 +89,7 @@ def cmd_table(args):
     if fam == "Bprime":
         return _table_Bprime(args)
     if args.oracle:
-        budget = (oracle.default_budget(fam) if args.budget is None
-                  else args.budget)
-        table = counting.table_for(fam, n, budget)
+        table = counting.table_for(fam, n, args.budget)
     elif fam == "B":
         _check_limit(n, SOLVER_LIMIT, "solver")
         table = counting.solve_B(n)
@@ -115,9 +113,7 @@ def _table_Bprime(args):
     if n < 1:
         raise ValueError("n must be >= 1")
     if args.oracle:
-        budget = (oracle.default_budget("Bprime") if args.budget is None
-                  else args.budget)
-        values = [oracle.enumerate_Bprime(n, m, budget)
+        values = [oracle.enumerate_Bprime(n, m, args.budget)
                   for m in range(1, n + 1)]
         provenance = "oracle"
     else:
@@ -215,8 +211,9 @@ def cmd_verify(args):
     report = RunReport(command="verify %s %d" % (args.suite, args.n))
     budget = args.budget
     if budget is None:
-        budget = (oracle.default_budget("Bprime") if args.suite == "zagier"
-                  else oracle.DEFAULT_PAIR_BUDGET)
+        budget = (oracle.DEFAULT_PAIR_BUDGET
+                  if args.suite in ("bijection", "proportions")
+                  else oracle.DEFAULT_SN_BUDGET)
     suite, *modules = SUITES[args.suite]
     for name in modules:
         import_module(name, __package__)
@@ -318,10 +315,8 @@ def build_parser():
                    choices=["A", "B", "Bprime", "C", "D", "ST", "stirling"])
     t.add_argument("n", type=int)
     t.add_argument("--format", choices=["csv", "json"], default="csv")
-    t.add_argument("--budget", type=int, default=None,
-                   help="largest n an oracle may sweep (default: %d for the "
-                        "pair families C and D, %d otherwise)"
-                        % (oracle.DEFAULT_PAIR_BUDGET, oracle.DEFAULT_SN_BUDGET))
+    t.add_argument("--budget", type=int, default=oracle.DEFAULT_SN_BUDGET,
+                   help="largest n an oracle may sweep (default: %(default)s)")
     t.add_argument("--parity", type=int, default=None,
                    help="keep only partitions with this length parity")
     t.add_argument("--oracle", action="store_true",
@@ -333,8 +328,8 @@ def build_parser():
     v.add_argument("n", type=int)
     v.add_argument("--budget", type=int, default=None,
                    help="largest n an oracle may sweep (default: %d for "
-                        "zagier, %d otherwise)"
-                        % (oracle.DEFAULT_SN_BUDGET, oracle.DEFAULT_PAIR_BUDGET))
+                        "bijection and proportions, %d otherwise)"
+                        % (oracle.DEFAULT_PAIR_BUDGET, oracle.DEFAULT_SN_BUDGET))
     v.set_defaults(fn=cmd_verify)
 
     tr = sub.add_parser("transform", help="apply a bijection step to a file")

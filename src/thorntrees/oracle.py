@@ -29,8 +29,8 @@ from itertools import permutations
 
 from .partition import partitions_of, set_partitions_of_type
 
-DEFAULT_SN_BUDGET = 8     # full S_n sweeps (8! = 40320)
-DEFAULT_PAIR_BUDGET = 6   # (set partition, permutation) pair sweeps
+DEFAULT_SN_BUDGET = 8     # full S_n sweeps (8! = 40320), and C/D read off them
+DEFAULT_PAIR_BUDGET = 6   # only the map and tree walks of the bijection sweeps
 
 
 class BudgetExceeded(ValueError):
@@ -132,7 +132,7 @@ def enumerate_Bprime(n, m, budget=DEFAULT_SN_BUDGET):
     return _sn_sweep(n)[2][m]
 
 
-def enumerate_CD(lam, budget=DEFAULT_PAIR_BUDGET):
+def enumerate_CD(lam, budget=DEFAULT_SN_BUDGET):
     """Count couples (beta, pi) with pi of type lam and beta in S_pi.
 
     Returns (C, D): C counts all couples, D those whose complement
@@ -151,7 +151,7 @@ def enumerate_ST(mu, budget=DEFAULT_SN_BUDGET):
     return sum(1 for _ in all_star_thorn_trees(mu))
 
 
-def reformulation_probability(lam, budget=DEFAULT_PAIR_BUDGET):
+def reformulation_probability(lam, budget=DEFAULT_SN_BUDGET):
     """Exact probability that a uniform couple (pi, beta in S_pi) of type lam
     has a long-cycle complement.
 
@@ -162,9 +162,4 @@ def reformulation_probability(lam, budget=DEFAULT_PAIR_BUDGET):
 
     C, D = enumerate_CD(lam, budget)
     return Fraction(D, C)
-
-
-def default_budget(family):
-    """The budget a family's oracle uses when none is given."""
-    return DEFAULT_PAIR_BUDGET if family in ("C", "D") else DEFAULT_SN_BUDGET
 

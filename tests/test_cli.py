@@ -72,10 +72,15 @@ def test_table_refusal(capsys):
 
 
 def test_table_oracle_default_budget_per_family(capsys):
-    code, out, err = run(capsys, "table", "C", "7", "--oracle")
+    # C and D are read off the S_n sweep, so they share A's budget of 8;
+    # test_table_refusal covers C 9
+    code, out, err = run(capsys, "table", "D", "9", "--oracle")
     assert code == 2
     assert out == ""
     assert "refused" in err
+    code, out, _ = run(capsys, "table", "C", "8", "--oracle")
+    assert code == 0
+    assert "8^1,40320,oracle" in out.splitlines()
     code, out, _ = run(capsys, "table", "A", "8", "--oracle")
     assert code == 0
     assert "8^1,5040,oracle" in out.splitlines()
@@ -610,6 +615,24 @@ def test_verify_bijection_reports_unswept_image(capsys, monkeypatch):
     assert {it["actual"] for it in roundtrips} <= {"None"}
 
 
+def test_verdict_reading_every_graph_as_an_image_is_caught(capsys,
+                                                          monkeypatch):
+    # classify and both sweeps reach the one verdict walk: at n = 3 only
+    # the type 2^1 1^1 has a (P1) tree whose auxiliary graph has a cycle
+    monkeypatch.setattr(bijection, "_verdict", lambda out: None)
+    code, items = _suite_items(capsys, "verify", "bijection", "3")
+    assert code == 1
+    assert [it["check"] for it in items if not it["ok"]] \
+        == ["classify agreement 1^1 2^1"]
+    code, items = _suite_items(capsys, "verify", "proportions", "3")
+    assert code == 1
+    assert [it["check"] for it in items if not it["ok"]] \
+        == ["P 1^1 2^1", "P' 1^1 2^1"]
+    code, out, _ = run(capsys, "transform", "classify",
+                       str(FIXTURES / "selfloop4.json"))
+    assert (code, out) == (0, '{"kind":"image"}\n')
+
+
 def test_internal_check_failure_is_exit_1(tmp_path, capsys, monkeypatch):
     tree_file = tmp_path / "tree.json"
     tree_file.write_text(structures.serialize(psi(
@@ -764,6 +787,22 @@ def test_readme_cli_examples_run(capsys, monkeypatch):
         assert code == 0 and out, argv
 
 
+def test_readme_library_quick_start_runs():
+    import os
+    import subprocess
+    import sys
+
+    root = FIXTURES.parent
+    text = (root / "README.md").read_text()
+    block = text.split("## Library quick start", 1)[1] \
+        .split("```python", 1)[1].split("```", 1)[0]
+    assert "psi_inverse" in block
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", block], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_thorn_ranks_out_of_order_are_refused(tmp_path, capsys):
     obj = json.loads((FIXTURES / "ex1.json").read_text())
     obj["white"][1]["thorn"], obj["white"][3]["thorn"] = 1, 0
@@ -814,6 +853,10 @@ OPTIMIZED_RUNS = [
     (["table", "B", "8"], TABLE_STDOUT_SHA256["B", "8"]),
     (["verify", "zagier", "8"], (0, ZAGIER_8_STDOUT_SHA256)),
     (["verify", "identities", "9"], (0, IDENTITIES_STDOUT_SHA256[9])),
+    (["verify", "bijection", "5"],
+     (0, SWEEP_STDOUT_SHA256["verify bijection 5"])),
+    (["verify", "proportions", "6"],
+     (0, SWEEP_STDOUT_SHA256["verify proportions 6"])),
     (["transform", "psi", "fixtures/example21.json"],
      TRANSFORM_STDOUT_SHA256["psi", "example21.json"]),
     (["transform", "invert", "fixtures/ex1.json"],

@@ -144,11 +144,13 @@ def test_budget_refusal():
     with pytest.raises(BudgetExceeded):
         enumerate_B(Partition([9]))
     with pytest.raises(BudgetExceeded):
-        enumerate_CD(Partition([7]))
+        enumerate_CD(Partition([9]))
     with pytest.raises(BudgetExceeded):
-        reformulation_probability(Partition([4, 3]))
-    # overridable
-    assert enumerate_CD(Partition([7]), budget=7)[0] == factorial(7)
+        reformulation_probability(Partition([5, 4]))
+    # C and D are read off the S_n sweep, so they share its default budget
+    assert enumerate_CD(Partition([8]))[0] == factorial(8)
+    with pytest.raises(BudgetExceeded):  # overridable
+        enumerate_CD(Partition([8]), budget=7)
 
 
 def test_budget_checked_before_cache():

@@ -11,8 +11,8 @@ that edge's black vertex (P2).
 
 from itertools import chain, permutations as iperm
 
-from .oracle import DEFAULT_PAIR_BUDGET, InternalCheckError, _check
-from .partition import SetPartition, Value, _trusted
+from .oracle import DEFAULT_BUDGET, InternalCheckError, _check
+from .partition import SetPartition, Value, _require_ints, _trusted
 from .perm import Permutation
 from .structures import (
     BlackPartitionedStarMap,
@@ -414,15 +414,22 @@ def contract(t, marked):
 def expand(t, marked_elem, k):
     """Inverse of contract: re-insert a black vertex of degree k.
 
-    ``marked_elem`` is the edge or one of the first j-1 thorns of a black
-    vertex of degree j+k-1 (j deduced from k).  A new edge slot is added
-    just right of the marked element's white partner and the k-1
-    rightmost (last, counter-clockwise) thorns of its vertex move to the
-    new black vertex, which is returned as the marked vertex.
+    ``marked_elem`` is ("e", v), the edge of a black vertex v of degree
+    j+k-1 (j deduced from k), or ("t", v, i), its i-th thorn, one of its
+    first j-1; v and i are ints, and any other form is a ValueError.  A
+    new edge slot is added just right of the marked element's white
+    partner and the k-1 rightmost (last, counter-clockwise) thorns of its
+    vertex move to the new black vertex, which is returned as the marked
+    vertex.
     """
     tree = t.tree
+    if tree.n == 0:
+        raise NoP1Error("the tree has no root slot")
     if tree.white[0] is None:
         raise NoP1Error("leftmost root slot is a thorn")
+    if len(marked_elem) < 2:
+        raise ValueError("bad marked element %r" % (marked_elem,))
+    _require_ints(marked_elem[1:], "marked element indices")
     v = marked_elem[1]
     if not 0 <= v < tree.p:
         raise ValueError("no black vertex %d" % v)
@@ -432,12 +439,12 @@ def expand(t, marked_elem, k):
                          % (tree.degree(v), k))
     slots = _unpack(t)
     thorns = _black_lists(slots)[v]
-    if marked_elem[0] == "t":
+    if marked_elem[0] == "t" and len(marked_elem) == 3:
         if not 0 <= marked_elem[2] <= j - 2:
             raise ValueError("marked thorn %d is not among the first %d"
                              % (marked_elem[2], j - 1))
         w = slots.index(thorns[marked_elem[2]])
-    elif marked_elem[0] == "e":
+    elif marked_elem[0] == "e" and len(marked_elem) == 2:
         w = tree.edge_slot(v)
     else:
         raise ValueError("bad marked element %r" % (marked_elem,))
@@ -447,7 +454,7 @@ def expand(t, marked_elem, k):
     return _pack(slots), _element(slots, new)[1]
 
 
-def proportion_stats(lam, budget=DEFAULT_PAIR_BUDGET):
+def proportion_stats(lam, budget=DEFAULT_BUDGET):
     """Exact proportions (P, P', P1 incidence) over the permuted thorn
     trees of type lam, from one sweep.
 
@@ -472,7 +479,7 @@ def proportion_stats(lam, budget=DEFAULT_PAIR_BUDGET):
             Fraction(with_p1, total))
 
 
-def roundtrip_stats(lam, budget=DEFAULT_PAIR_BUDGET):
+def roundtrip_stats(lam, budget=DEFAULT_BUDGET):
     """Psi against its inverse and classify, over every star map and every
     permuted thorn tree of type lam.
 

@@ -29,8 +29,7 @@ from itertools import permutations
 
 from .partition import partitions_of, set_partitions_of_type
 
-DEFAULT_SN_BUDGET = 8     # full S_n sweeps (8! = 40320), and C/D read off them
-DEFAULT_PAIR_BUDGET = 6   # only the map and tree walks of the bijection sweeps
+DEFAULT_BUDGET = 8  # every sweep: S_n (8! = 40320), maps and permuted trees
 
 
 class BudgetExceeded(ValueError):
@@ -114,25 +113,25 @@ def _pair_sweep(n):
     return C, D
 
 
-def enumerate_A(lam, budget=DEFAULT_SN_BUDGET):
+def enumerate_A(lam, budget=DEFAULT_BUDGET):
     """Count permutations of type lam by sweeping S_n."""
     _check(lam.size, budget, "S_n", long_cycle=False)
     return _sn_sweep(lam.size)[0][lam]
 
 
-def enumerate_B(lam, budget=DEFAULT_SN_BUDGET):
+def enumerate_B(lam, budget=DEFAULT_BUDGET):
     """Count permutations beta of type lam with (1 2 .. n) beta^{-1} long."""
     _check(lam.size, budget, "S_n")
     return _sn_sweep(lam.size)[1][lam]
 
 
-def enumerate_Bprime(n, m, budget=DEFAULT_SN_BUDGET):
+def enumerate_Bprime(n, m, budget=DEFAULT_BUDGET):
     """Count permutations beta of [n] with m cycles and long complement."""
     _check(n, budget, "S_n")
     return _sn_sweep(n)[2][m]
 
 
-def enumerate_CD(lam, budget=DEFAULT_SN_BUDGET):
+def enumerate_CD(lam, budget=DEFAULT_BUDGET):
     """Count couples (beta, pi) with pi of type lam and beta in S_pi.
 
     Returns (C, D): C counts all couples, D those whose complement
@@ -143,7 +142,7 @@ def enumerate_CD(lam, budget=DEFAULT_SN_BUDGET):
     return C[lam], D[lam]
 
 
-def enumerate_ST(mu, budget=DEFAULT_SN_BUDGET):
+def enumerate_ST(mu, budget=DEFAULT_BUDGET):
     """Count star thorn trees of type mu by building every one of them."""
     _check(mu.size, budget, "tree", long_cycle=False)
     from .structures import all_star_thorn_trees
@@ -151,7 +150,7 @@ def enumerate_ST(mu, budget=DEFAULT_SN_BUDGET):
     return sum(1 for _ in all_star_thorn_trees(mu))
 
 
-def reformulation_probability(lam, budget=DEFAULT_SN_BUDGET):
+def reformulation_probability(lam, budget=DEFAULT_BUDGET):
     """Exact probability that a uniform couple (pi, beta in S_pi) of type lam
     has a long-cycle complement.
 

@@ -5,9 +5,9 @@ Partitions are stored as weakly decreasing tuples of positive parts.
 Set partitions store their blocks sorted by minimum element.
 """
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
 from math import factorial, prod
-from operator import attrgetter
+from operator import attrgetter, lt
 
 
 class Value:
@@ -73,9 +73,10 @@ class Partition(tuple):
     __slots__ = ()
 
     def __init__(self, parts):
-        if any(p < 1 for p in self):
+        _require_ints(self, "parts")
+        if min(self, default=1) < 1:
             raise ValueError("parts must be positive: %r" % (tuple(self),))
-        if any(self[i] < self[i + 1] for i in range(len(self) - 1)):
+        if any(map(lt, self, self[1:])):
             raise ValueError("parts must be weakly decreasing: %r"
                              % (tuple(self),))
 
@@ -214,23 +215,14 @@ def set_partitions_of_type(lam):
         yield _trusted(SetPartition, n=n, blocks=blocks)
 
 
-def _in_place(images, blocks, i=0):
-    """Run through S_pi, writing each beta into ``images`` block by block;
-    yields once per beta, with ``images`` holding it."""
-    if i == len(blocks):
-        yield
-        return
-    block = blocks[i]
-    for target in permutations(block):
-        for src, dst in zip(block, target):
-            images[src] = dst
-        yield from _in_place(images, blocks, i + 1)
-
-
 def _each_beta(pi):
     """Run through S_pi, yielding one 0-based image list rewritten in place."""
     images = list(range(pi.n))
-    for _ in _in_place(images, [[x - 1 for x in b] for b in pi.blocks]):
+    blocks = [[x - 1 for x in b] for b in pi.blocks]
+    sources = [x for b in blocks for x in b]
+    for targets in product(*map(permutations, blocks)):
+        for src, dst in zip(sources, chain.from_iterable(targets)):
+            images[src] = dst
         yield images
 
 

@@ -14,7 +14,7 @@ clockwise reading used for cycle recovery is the reverse traversal.
 import json
 from itertools import combinations, count, permutations as iperm
 
-from .oracle import DEFAULT_PAIR_BUDGET, _check, _long_complement
+from .oracle import DEFAULT_BUDGET, _check, _long_complement
 from .partition import (
     Partition,
     SetPartition,
@@ -241,7 +241,7 @@ def all_star_thorn_trees(mu):
             yield _trusted(StarThornTree, white=white, blacks=blacks)
 
 
-def all_permuted_trees(lam, budget=DEFAULT_PAIR_BUDGET):
+def all_permuted_trees(lam, budget=DEFAULT_BUDGET):
     """Every permuted star thorn tree of type lam, exactly once."""
     _check(lam.size, budget, "permuted-tree", long_cycle=False)
     for tree in all_star_thorn_trees(lam):
@@ -251,7 +251,7 @@ def all_permuted_trees(lam, budget=DEFAULT_PAIR_BUDGET):
                            sigma=tuple(zip(wslots, image)))
 
 
-def all_star_maps(lam, budget=DEFAULT_PAIR_BUDGET):
+def all_star_maps(lam, budget=DEFAULT_BUDGET):
     """Every black-partitioned star map of type lam (alpha a long cycle):
     the couples (pi, beta in S_pi) are walked in place, and a map is built
     only when alpha is long.  Needs n >= 1.

@@ -190,6 +190,24 @@ def test_expand_vertex_out_of_range(elem):
         expand(t, elem, 1)
 
 
+@pytest.mark.parametrize("elem,error", [
+    (("e",), "bad marked element"), (("t", 0), "bad marked element"),
+    (("e", 0, 0), "bad marked element"), (("x", 0), "bad marked element"),
+    (("t", 0, 0, 0), "bad marked element"),
+    (("e", 0.0), "must be integers"), (("e", True), "must be integers"),
+    (("t", 0, 0.0), "must be integers"), (("t", 0, True), "must be integers")])
+def test_expand_refuses_malformed_marks(elem, error):
+    t = psi(fixture("example21.json"))
+    with pytest.raises(ValueError, match=error):
+        expand(t, elem, 1)
+
+
+def test_expand_on_the_empty_tree_is_no_p1():
+    empty = PermutedThornTree(StarThornTree((), ()), ())
+    with pytest.raises(NoP1Error):
+        expand(empty, ("e", 0), 1)
+
+
 def test_aux_graph_equality_compares_edges():
     assert AuxGraph(2, 0, {1: 0}) == AuxGraph(2, 0, {1: 0})
     assert AuxGraph(2, 0, {1: 0}) != AuxGraph(2, 0, {1: 1})

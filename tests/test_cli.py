@@ -202,6 +202,8 @@ SWEEP_STDOUT_SHA256 = {
         "c2d0905c4d88fdeaac548bf9771c0c3c2770441c4f5af9569d7cc14cf96ad036",
     "verify proportions 8 --budget 8":
         "688c473d9371b09fa375611311fbb19784769f786e4d547277910302c7b76e44",
+    "verify proportions 8":
+        "688c473d9371b09fa375611311fbb19784769f786e4d547277910302c7b76e44",
 }
 
 
@@ -427,10 +429,12 @@ def test_verify_n_0_is_a_usage_error(capsys, suite):
 
 
 def test_verify_refusal(capsys):
-    code, out, _ = run(capsys, "verify", "proportions", "8")
+    code, out, _ = run(capsys, "verify", "proportions", "9")
     assert code == 2
     rep = json.loads(out)
-    assert rep["status"] == "refused" and "reason" in rep
+    assert rep["status"] == "refused" and rep["items"] == []
+    assert rep["reason"] == ("permuted-tree enumeration refused: "
+                             "n=9 exceeds budget 8")
 
 
 def test_transform_psi_and_invert(tmp_path, capsys):
@@ -568,15 +572,17 @@ def test_usage_error(capsys):
 
 
 def test_verify_budget_default_per_suite(capsys):
-    # zagier sweeps S_n (default budget 8); the tree suites sweep pairs (6)
+    # every suite's oracle sweeps default to n <= 8: zagier drops its
+    # oracle rows above it, the map and tree sweeps are refused
     for n, oracle_rows in ((7, 7), (8, 8), (9, 0)):
         code, out, _ = run(capsys, "verify", "zagier", str(n))
         rep = json.loads(out)
         assert code == 0 and rep["status"] == "pass"
         assert sum(it["provenance"] == "oracle"
                    for it in rep["items"]) == oracle_rows
-    code, out, _ = run(capsys, "verify", "bijection", "7")
-    assert code == 2 and json.loads(out)["status"] == "refused"
+    code, out, _ = run(capsys, "verify", "bijection", "9")
+    assert code == 2 and json.loads(out)["reason"] == (
+        "map enumeration refused: n=9 exceeds budget 8")
 
 
 @pytest.mark.parametrize("family", ["Bprime", "stirling"])

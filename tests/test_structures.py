@@ -166,10 +166,32 @@ def test_all_star_maps_are_stars(n):
 
 
 def test_generation_budget():
-    with pytest.raises(BudgetExceeded):
-        list(all_permuted_trees(Partition([7])))
-    with pytest.raises(BudgetExceeded):
-        list(all_star_maps(Partition([4, 3])))
+    # the default budget is 8, as for every oracle sweep
+    with pytest.raises(BudgetExceeded, match="n=9 exceeds budget 8"):
+        list(all_permuted_trees(Partition([9])))
+    with pytest.raises(BudgetExceeded, match="n=9 exceeds budget 8"):
+        list(all_star_maps(Partition([5, 4])))
+
+
+@pytest.mark.parametrize("n,count", [(1, 2), (2, 18), (3, 156), (4, 1460)])
+def test_lift_is_a_bijection_onto_marked_trees(n, count):
+    # every (tree of size n, white position, black vertex, black position)
+    # lifts to a distinct tree of size n + 1 with its new black thorn
+    # marked, drop undoes it, and every marked tree is reached
+    lifts = []
+    for lam in partitions_of(n):
+        for t in all_permuted_trees(lam):
+            for wp in range(n + 1):
+                for b in range(t.tree.p):
+                    for bp in range(t.tree.blacks[b] + 1):
+                        lifted = lift(t, wp, b, bp)
+                        assert drop(lifted, b, bp) == t
+                        lifts.append((lifted, b, bp))
+    marked = {(t, b, bp) for lam in partitions_of(n + 1)
+              for t in all_permuted_trees(lam)
+              for b, bp in t.tree.black_thorn_coords()}
+    assert len(lifts) == len(marked) == count
+    assert set(lifts) == marked
 
 
 def test_lift_drop_roundtrip():
@@ -248,9 +270,14 @@ def _black_label(x):
     return LabeledThornTree(StarThornTree((0, None), (1,)), (2, 1), ((x,),))
 
 
+def _partition_part(x):
+    return Partition([2, x])
+
+
 @pytest.mark.parametrize("build,valid", [
     (_star_edge, 0), (_star_thorns, 1), (_sigma(0), 1), (_sigma(1), 0),
-    (_sigma(2), 0), (_white_label, 2), (_black_label, 1)])
+    (_sigma(2), 0), (_white_label, 2), (_black_label, 1),
+    (_partition_part, 1)])
 def test_constructors_refuse_non_integers(build, valid):
     build(valid)
     for bad in (float(valid), valid + 0.9, True, False, 2.5, str(valid)):
@@ -269,6 +296,9 @@ def test_old_coercion_reproducers_are_refused():
     with pytest.raises(ValueError, match="block elements"):
         BlackPartitionedStarMap(Permutation([2, 1]),
                                 SetPartition(2, [[1.0, 2]]))
+    for parts in ([2.5, 1], [True], [2, 1.0], ["a"]):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            Partition(parts)
 
 
 def test_trusted_objects_are_not_validated():

@@ -11,7 +11,8 @@ that edge's black vertex (P2).
 
 from itertools import chain, permutations as iperm
 
-from .oracle import DEFAULT_BUDGET, InternalCheckError, _check
+from .oracle import (DEFAULT_BUDGET, InternalCheckError, _check,
+                     _complement_orbit)
 from .partition import SetPartition, Value, _require_ints, _trusted
 from .perm import Permutation
 from .structures import (
@@ -37,23 +38,18 @@ def psi_label(m):
     White slots are labeled right-to-left with the alpha-orbit starting at
     1; one edge per block sits at the label beta(max of block); black
     thorns are labeled counter-clockwise following the block's cycles in
-    decreasing order of their maxima.  One pass over beta: slot j carries
-    alpha^{-(j+1)}(1), read off alpha^{-1}(k) = beta(k-1) (beta(n) at k = 1).
+    decreasing order of their maxima.  Slot j carries alpha^{-(j+1)}(1):
+    the white labels are the walk of ``oracle._complement_orbit``, the one
+    that decides whether m is a star map.
     """
     n = m.n
     if n < 1:
         raise ValueError("n must be >= 1")
-    images = m.beta.images
-    label_at = []
-    k = 1
-    for _ in range(n - 1):
-        k = images[k - 2]  # images[-1] = beta(n) when k = 1
-        if k == 1:
-            raise ValueError("the white-slot labeling needs alpha to be a "
-                             "long cycle; got alpha of type %r"
-                             % (m.alpha.cycle_type(),))
-        label_at.append(k)
-    label_at.append(1)
+    label_at = _complement_orbit(m.beta.images)
+    if len(label_at) < n:
+        raise ValueError("the white-slot labeling needs alpha to be a "
+                         "long cycle; got alpha of type %r"
+                         % (m.alpha.cycle_type(),))
 
     # a block's first cycle ends at its maximum, so beta(max) starts it
     block_at_edge = {cycles[0][0]: cycles for cycles in m.cycles_by_block()}
@@ -111,7 +107,8 @@ def psi_inverse(t):
     current image of beta is found by the left-to-right-maximum rule read
     clockwise around the black vertex, in time linear in n.  A recovered
     map is checked by running Psi forward on it (InternalCheckError if
-    not).
+    it does not give t back), and the labeled tree returned is the one
+    that check builds, ``psi_label`` of the map.
     """
     tree = t.tree
     if tree.n == 0:
@@ -129,15 +126,12 @@ def psi_inverse(t):
                          "collision_slot": target,
                          "beta_element": ["e", b] if beta_el == stop - 1
                          else ["t", b, stop - 2 - beta_el]})
-    # success labels each slot and each black element once: every object
-    # below is valid by construction
-    readings, images, blocks = _cycles(shape, label)
-    m = _map(images, blocks)
-    if not (m.is_star and psi(m) == t):
+    # success labels each slot and each black element once: the map is
+    # valid by construction, and Psi run forward on it is the check
+    m = _map(*_cycles(shape, label))
+    labeled = psi_label(m) if m.is_star else None
+    if labeled is None or labeled.to_permuted() != t:
         raise InternalCheckError("inverse self-check failed")
-    labeled = _trusted(LabeledThornTree, tree=tree,
-                       white_labels=tuple(white_labels),
-                       black_labels=tuple(tuple(r[-2::-1]) for r in readings))
     return InverseOutcome(success=True, map=m, labeled=labeled)
 
 
@@ -209,8 +203,8 @@ def _label_walk(shape, sigma):
 
 
 def _cycles(shape, label):
-    """(clockwise readings, beta's images, pi's blocks) of a completed
-    label walk: each reading splits into beta's cycles at its
+    """(beta's images, pi's blocks) of a completed label walk: each
+    vertex's clockwise reading splits into beta's cycles at its
     left-to-right maxima, and is one block."""
     starts, stops = shape[0], shape[1]
     readings = [label[a:z] for a, z in zip(starts, stops)]
@@ -226,7 +220,7 @@ def _cycles(shape, label):
         images[head - 1] = last
     # each block is a union of beta's cycles; disjoint blocks sort by minimum
     blocks = tuple(sorted(tuple(sorted(r)) for r in readings))
-    return readings, tuple(images), blocks
+    return tuple(images), blocks
 
 
 def _map(images, blocks):
@@ -391,6 +385,7 @@ def contract(t, marked):
     successor.  Returns the contracted tree together with the marked
     element (the successor's element that the erased edge pointed at).
     """
+    _require_ints((marked,), "move indices")
     g = aux_graph(t)
     if marked == g.root:
         raise ValueError("cannot contract the root vertex")
@@ -429,7 +424,7 @@ def expand(t, marked_elem, k):
         raise NoP1Error("leftmost root slot is a thorn")
     if len(marked_elem) < 2:
         raise ValueError("bad marked element %r" % (marked_elem,))
-    _require_ints(marked_elem[1:], "marked element indices")
+    _require_ints([*marked_elem[1:], k], "move indices")
     v = marked_elem[1]
     if not 0 <= v < tree.p:
         raise ValueError("no black vertex %d" % v)
@@ -515,7 +510,7 @@ def roundtrip_stats(lam, budget=DEFAULT_BUDGET):
             if collision is not None:
                 failures.append((m, None))
                 continue
-            _, beta, blocks = _cycles(shape, label)
+            beta, blocks = _cycles(shape, label)
             if beta != m.beta.images or blocks != m.pi.blocks:
                 failures.append((m, _map(beta, blocks)))
     failures += [(m, None) for m in preimage.values()]  # never swept

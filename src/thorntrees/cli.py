@@ -84,10 +84,10 @@ def cmd_table(args):
                               "provenance": "formula",
                               "row": [str(v) for v in row[1:]]},
                              sort_keys=True))
-        else:
-            print("n,m,value,provenance")
-            for m in range(1, n + 1):
-                print("%d,%d,%d,formula" % (n, m, row[m]))
+        else:  # built whole before writing: a failing row writes nothing
+            lines = ["n,m,value,provenance"] + [
+                "%d,%d,%d,formula" % (n, m, row[m]) for m in range(1, n + 1)]
+            sys.stdout.write("\n".join(lines) + "\n")
         return 0
     if fam == "Bprime":
         return _table_Bprime(args)

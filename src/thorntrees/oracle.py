@@ -4,9 +4,9 @@ Everything here iterates over complete search spaces and counts exactly;
 no formulas, no sampling.  Budgets guard against accidental huge sweeps
 and are enforced by refusal, never by truncation, before any sweep runs.
 
-Each search space is swept once per n, permutations as plain 0-based
-image tuples, and only the per-type counters of a sweep are kept
-(memoised per n):
+Each search space is swept once per n, permutations as plain 1-based
+image tuples (as ``Permutation.images`` holds them), and only the
+per-type counters of a sweep are kept (memoised per n):
 
   S_n sweep    every beta in S_n          -> A and B by type, B' by cycles
   pair sweep   every set partition of the -> C and D by the type of pi
@@ -53,42 +53,43 @@ def _check(n, budget, kind, long_cycle=True):
 
 
 def _cycle_type(images):
-    """Sorted cycle lengths of a 0-based image tuple."""
-    seen = [False] * len(images)
+    """Sorted cycle lengths of a 1-based image tuple."""
+    seen = [False] * (len(images) + 1)
     lengths = []
-    for start in range(len(images)):
+    for start in range(1, len(images) + 1):
         if not seen[start]:
             k, size = start, 0
             while not seen[k]:
                 seen[k] = True
-                k = images[k]
+                k = images[k - 1]
                 size += 1
             lengths.append(size)
     lengths.sort(reverse=True)
     return tuple(lengths)
 
 
-def _long_complement(images):
-    """True iff alpha = (0 1 .. n-1) beta^{-1} is one n-cycle (n >= 1).
-
-    Walks alpha^{-1} = beta (0 1 .. n-1)^{-1}, i.e. x -> images[x - 1],
-    from 0, so no inverse is built.
+def _complement_orbit(images):
+    """The orbit of 1 under alpha^{-1}, alpha = (1 2 .. n) beta^{-1}, read
+    off beta's 1-based images (n >= 1) as alpha^{-1}(k) = beta(k - 1), so
+    no inverse is built: [beta(n), .., 1].  alpha is long exactly when it
+    has n entries, and then they are Psi's white labels, left to right.
     """
-    x, steps = images[-1], 1
-    while x:
-        x = images[x - 1]
-        steps += 1
-    return steps == len(images)
+    orbit, k = [], images[-1]
+    while k != 1:
+        orbit.append(k)
+        k = images[k - 2]
+    orbit.append(1)
+    return orbit
 
 
 @cache
 def _sn_sweep(n):
     """(A by type, B by type, B' by number of cycles) from one pass over S_n."""
     A, B, Bp = Counter(), Counter(), Counter()
-    for beta in permutations(range(n)):
+    for beta in permutations(range(1, n + 1)):
         lam = _cycle_type(beta)
         A[lam] += 1
-        if n and _long_complement(beta):
+        if n and len(_complement_orbit(beta)) == n:
             B[lam] += 1
             Bp[len(lam)] += 1
     return A, B, Bp

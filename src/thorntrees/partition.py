@@ -216,11 +216,11 @@ def set_partitions_of_type(lam):
 
 
 def _each_beta(pi):
-    """Run through S_pi, yielding one 0-based image list rewritten in place."""
-    images = list(range(pi.n))
-    blocks = [[x - 1 for x in b] for b in pi.blocks]
-    sources = [x for b in blocks for x in b]
-    for targets in product(*map(permutations, blocks)):
+    """Run through S_pi, yielding one 1-based image list (the image of k
+    at index k - 1) rewritten in place."""
+    images = [0] * pi.n
+    sources = [x - 1 for b in pi.blocks for x in b]
+    for targets in product(*map(permutations, pi.blocks)):
         for src, dst in zip(sources, chain.from_iterable(targets)):
             images[src] = dst
         yield images
@@ -235,4 +235,4 @@ def permutations_in(pi):
     from .perm import Permutation
 
     for images in _each_beta(pi):
-        yield Permutation(x + 1 for x in images)
+        yield Permutation(images)

@@ -14,7 +14,7 @@ clockwise reading used for cycle recovery is the reverse traversal.
 import json
 from itertools import combinations, count, permutations as iperm
 
-from .oracle import DEFAULT_BUDGET, _check, _long_complement
+from .oracle import DEFAULT_BUDGET, _check, _complement_orbit
 from .partition import (
     Partition,
     SetPartition,
@@ -158,10 +158,10 @@ class BlackPartitionedStarMap(Value):
 
     @property
     def is_star(self):
-        """alpha is a long cycle: one walk over beta's images."""
+        """alpha is a long cycle: Psi's white-label walk covers all n."""
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        return _long_complement([x - 1 for x in self.beta.images])
+        return len(_complement_orbit(self.beta.images)) == self.n
 
     def type_of(self):
         """Block degree distribution (block sizes, since every edge of a
@@ -260,9 +260,8 @@ def all_star_maps(lam, budget=DEFAULT_BUDGET):
     _check(n, budget, "map")
     for pi in set_partitions_of_type(lam):
         for images in _each_beta(pi):
-            if _long_complement(images):
-                beta = _trusted(Permutation, n=n,
-                                images=tuple(x + 1 for x in images))
+            if len(_complement_orbit(images)) == n:
+                beta = _trusted(Permutation, n=n, images=tuple(images))
                 yield _trusted(BlackPartitionedStarMap, beta=beta, pi=pi)
 
 
@@ -306,6 +305,7 @@ def lift(t, white_pos, black, black_pos):
 
     Takes type lam to lam^{up(degree(black))}.
     """
+    _require_ints((white_pos, black, black_pos), "move indices")
     tree = t.tree
     if not 0 <= white_pos <= tree.n:
         raise ValueError("white position out of range")
@@ -322,6 +322,7 @@ def lift(t, white_pos, black, black_pos):
 
 def drop(t, black, black_pos):
     """Remove a black thorn and its white partner (inverse of lift)."""
+    _require_ints((black, black_pos), "move indices")
     tree = t.tree
     if not (0 <= black < tree.p and 0 <= black_pos < tree.blacks[black]):
         raise ValueError("no black thorn (%d, %d)" % (black, black_pos))

@@ -202,6 +202,25 @@ def test_expand_refuses_malformed_marks(elem, error):
         expand(t, elem, 1)
 
 
+MOVES = {
+    "lift white_pos": lambda t, x: lift(t, x, 0, 0),
+    "lift black": lambda t, x: lift(t, 0, x, 0),
+    "lift black_pos": lambda t, x: lift(t, 0, 0, x),
+    "drop black": lambda t, x: drop(t, x, 0),
+    "drop black_pos": lambda t, x: drop(t, 0, x),
+    "contract marked": lambda t, x: contract(t, x),
+    "expand k": lambda t, x: expand(t, ("e", 0), x),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.0, 1.0, "1"])
+@pytest.mark.parametrize("move", sorted(MOVES))
+def test_moves_refuse_non_integer_indices(move, bad):
+    t = psi(fixture("example21.json"))
+    with pytest.raises(ValueError, match="move indices must be integers"):
+        MOVES[move](t, bad)
+
+
 def test_expand_on_the_empty_tree_is_no_p1():
     empty = PermutedThornTree(StarThornTree((), ()), ())
     with pytest.raises(NoP1Error):
@@ -242,11 +261,14 @@ def test_p1_incidence_from_proportion_stats():
 SELF_CHECK_UNDER_O = """
 import sys
 from thorntrees import bijection
-from thorntrees.structures import deserialize
+from thorntrees.structures import all_star_maps, deserialize
 
-t = bijection.psi(deserialize(open(sys.argv[1]).read()))
-wrong = deserialize(open(sys.argv[2]).read())
-bijection.psi = lambda m: wrong
+m = deserialize(open(sys.argv[1]).read())
+t = bijection.psi(m)
+# a real labeled tree, of another star map of the same type
+wrong = bijection.psi_label(next(
+    other for other in all_star_maps(m.type_of()) if other != m))
+bijection.psi_label = lambda m: wrong
 try:
     bijection.psi_inverse(t)
 except AssertionError as exc:
@@ -264,8 +286,7 @@ def test_inverse_self_check_survives_python_O():
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     done = subprocess.run(
         [sys.executable, "-O", "-c", SELF_CHECK_UNDER_O,
-         str(root / "fixtures" / "example21.json"),
-         str(root / "fixtures" / "selfloop4.json")],
+         str(root / "fixtures" / "example21.json")],
         capture_output=True, text=True, env=env, check=True)
     assert done.stdout == "optimize=1 raised: inverse self-check failed\n"
 
@@ -531,3 +552,28 @@ def test_seeded_roundtrips_from_the_alpha_side(n, seed):
     assert deserialize(serialize(t)) == t
     for obj in (m, t, aux_graph(t)):
         assert to_dot(obj).endswith("}\n")
+
+
+def test_label_walk_agrees_with_the_returned_labeled_tree():
+    """psi_inverse returns psi_label of the recovered map; the label walk
+    that recovered it must have read the same labels: its white labels,
+    and per vertex its clockwise reading reversed, without the edge."""
+    from thorntrees.bijection import _label_walk, _shape
+
+    recovered = 0
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            for t in all_permuted_trees(lam):
+                out = psi_inverse(t)
+                if not out.success:
+                    continue
+                recovered += 1
+                shape = _shape(t.tree)
+                label, white_labels, collision = _label_walk(shape, t.sigma)
+                assert collision is None
+                assert tuple(white_labels) == out.labeled.white_labels
+                starts, stops = shape[0], shape[1]
+                assert tuple(tuple(label[a:z][-2::-1])
+                             for a, z in zip(starts, stops)) \
+                    == out.labeled.black_labels
+    assert recovered == 1065

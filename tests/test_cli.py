@@ -57,6 +57,23 @@ def test_table_stirling(capsys):
     assert "4,2,11,formula" in out.splitlines()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_stirling_past_the_digit_limit_writes_nothing(capsys, fmt):
+    # a row whose values cannot be written as decimal text is refused
+    # whole: no header or leading rows reach stdout before the error
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "table", "stirling", "500",
+                             "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_table_oracle_agrees_with_formula(capsys):
     _, formula, _ = run(capsys, "table", "D", "5")
     _, brute, _ = run(capsys, "table", "D", "5", "--oracle")
@@ -640,11 +657,14 @@ def test_verdict_reading_every_graph_as_an_image_is_caught(capsys,
 
 
 def test_internal_check_failure_is_exit_1(tmp_path, capsys, monkeypatch):
+    m = deserialize((FIXTURES / "example21.json").read_text())
     tree_file = tmp_path / "tree.json"
-    tree_file.write_text(structures.serialize(psi(
-        deserialize((FIXTURES / "example21.json").read_text()))))
-    wrong = deserialize((FIXTURES / "selfloop4.json").read_text())
-    monkeypatch.setattr(bijection, "psi", lambda m: wrong)
+    tree_file.write_text(structures.serialize(psi(m)))
+    # a real labeled tree, of another star map of the same type
+    wrong = bijection.psi_label(next(
+        other for other in structures.all_star_maps(m.type_of())
+        if other != m))
+    monkeypatch.setattr(bijection, "psi_label", lambda m: wrong)
     code, out, err = run(capsys, "transform", "invert", str(tree_file))
     assert code == 1
     assert out == ""

@@ -2,10 +2,13 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from thorntrees.counting import count_C, count_D, solve_B, stirling1_unsigned
 from thorntrees.oracle import (
     BudgetExceeded,
+    _complement_orbit,
+    _cycle_type,
     enumerate_A,
     enumerate_B,
     enumerate_Bprime,
@@ -19,7 +22,12 @@ from thorntrees.partition import (
     partitions_of,
     set_partitions_of_type,
 )
-from thorntrees.perm import all_permutations, canonical_long_cycle, compose
+from thorntrees.perm import (
+    Permutation,
+    all_permutations,
+    canonical_long_cycle,
+    compose,
+)
 from thorntrees.structures import all_star_maps
 
 
@@ -171,3 +179,33 @@ def test_long_cycle_needs_n_at_least_1():
         enumerate_B(Partition([]))
     with pytest.raises(ValueError):
         enumerate_Bprime(0, 1)
+
+
+@st.composite
+def _betas(draw):
+    """beta in S_n, n <= 60: uniform, or built from a long alpha as
+    beta = alpha^{-1} (1 2 .. n), so that both verdicts come up."""
+    n = draw(st.integers(1, 60))
+    images = draw(st.permutations(range(1, n + 1)))
+    if not draw(st.booleans()):
+        return Permutation(images)
+    # alpha: the long cycle that runs through images in order
+    alpha = [0] * n
+    for a, b in zip(images, images[1:] + images[:1]):
+        alpha[a - 1] = b
+    return compose(Permutation(alpha).inverse(), canonical_long_cycle(n))
+
+
+@seed(1006)
+@settings(max_examples=300, deadline=None)
+@given(_betas())
+def test_complement_orbit_matches_alpha_built_by_composition(beta):
+    n = beta.n
+    alpha = compose(canonical_long_cycle(n), beta.inverse())
+    alpha_inv = alpha.inverse()
+    orbit = [alpha_inv(1)]
+    while orbit[-1] != 1:
+        orbit.append(alpha_inv(orbit[-1]))
+    assert _complement_orbit(beta.images) == orbit
+    assert (len(orbit) == n) == alpha.is_long_cycle()
+    assert _cycle_type(beta.images) == beta.cycle_type()

@@ -10,7 +10,6 @@ process loads only what its command needs.
 """
 
 import argparse
-import json
 import sys
 import time
 from importlib import import_module
@@ -59,6 +58,8 @@ class RunReport:
         return "pass" if all(it["ok"] for it in self.items) else "fail"
 
     def to_json(self):
+        import json
+
         obj = {"command": self.command, "items": self.items,
                "status": self.status}
         if self.refused:
@@ -80,6 +81,8 @@ def cmd_table(args):
     if fam == "stirling":
         row = counting.stirling1_row(n)
         if args.format == "json":
+            import json
+
             print(json.dumps({"family": "stirling", "n": n,
                               "provenance": "formula",
                               "row": [str(v) for v in row[1:]]},
@@ -103,6 +106,8 @@ def cmd_table(args):
             lam: v for lam, v in table.entries.items()
             if lam.length % 2 == args.parity % 2}, table.provenance)
     if args.format == "json":
+        import json
+
         print(json.dumps(table.to_json_obj(), sort_keys=True))
     else:
         sys.stdout.write(table.to_csv())
@@ -124,6 +129,8 @@ def _table_Bprime(args):
         values = counting._bprime_row(n)[1:]
         provenance = "solver"
     if args.format == "json":
+        import json
+
         print(json.dumps(
             {"family": "Bprime", "n": n, "provenance": provenance,
              "rows": [[str(m), str(v)] for m, v in enumerate(values, 1)]},
@@ -261,6 +268,8 @@ def _emit(args, text):
 
 
 def cmd_transform(args):
+    import json
+
     from . import bijection, structures
 
     obj = _load(args.input, "BlackPartitionedStarMap"

@@ -8,26 +8,30 @@ Each search space is swept once per n, permutations as plain 1-based
 image tuples (as ``Permutation.images`` holds them), and only the
 per-type counters of a sweep are kept (memoised per n):
 
-  S_n sweep    every beta in S_n          -> A and B by type, B' by cycles
+  S_n sweep    every beta in S_n          -> A by type
+  alpha walk   every long cycle alpha     -> B by type, B' by cycles
   pair sweep   every set partition of the -> C and D by the type of pi
                cycles, per cycle type
 
 ST has no sweep of its own: it counts the trees that
 ``structures.all_star_thorn_trees`` builds, each tree once, per type.
 
+The alpha walk visits only the beta that B and B' count: the complement
+(1 2 .. n) beta^{-1} is a given long cycle alpha for exactly one beta,
+alpha^{-1} (1 2 .. n), so the (n-1)! long cycles give each such beta
+once, where the S_n sweep would test all n! of them.
+
 The pair sweep covers the couples (pi, beta in S_pi) without a second
 walk over S_n: beta lies in S_pi exactly when every block of pi is a
 union of beta's cycles, so the couples of one beta are the set
 partitions of its cycles, and every beta of one cycle type mu has the
 same ones.  Each set partition of mu's cycles is visited once and
-counted A[mu] times in C and B[mu] times in D, the S_n sweep's counts.
+counted A[mu] times in C and B[mu] times in D.
 """
 
 from collections import Counter
 from functools import cache
 from itertools import permutations
-
-from .partition import partitions_of, set_partitions_of_type
 
 DEFAULT_BUDGET = 8  # every sweep: S_n (8! = 40320), maps and permuted trees
 
@@ -84,52 +88,93 @@ def _complement_orbit(images):
 
 @cache
 def _sn_sweep(n):
-    """(A by type, B by type, B' by number of cycles) from one pass over S_n."""
-    A, B, Bp = Counter(), Counter(), Counter()
-    for beta in permutations(range(1, n + 1)):
-        lam = _cycle_type(beta)
-        A[lam] += 1
-        if n and len(_complement_orbit(beta)) == n:
-            B[lam] += 1
-            Bp[len(lam)] += 1
-    return A, B, Bp
+    """A by type, from one pass over S_n."""
+    return Counter(map(_cycle_type, permutations(range(1, n + 1))))
+
+
+def _alpha_betas(n):
+    """Each beta in S_n whose complement (1 2 .. n) beta^{-1} is long, once,
+    as a 1-based image tuple (n >= 1): for the long cycle
+    alpha = (1 a_2 .. a_n), beta = alpha^{-1} (1 2 .. n), read off as
+    beta(k) = alpha^{-1}(k + 1) with n + 1 standing for 1."""
+    inv = [0] * (n + 2)  # inv[k] = alpha^{-1}(k) for 2 <= k <= n + 1
+    for rest in permutations(range(2, n + 1)):
+        prev = 1
+        for a in rest:
+            inv[a] = prev
+            prev = a
+        inv[n + 1] = prev
+        yield tuple(inv[2:])
+
+
+@cache
+def _alpha_sweep(n):
+    """(B by type, B' by number of cycles) from the (n-1)! long cycles."""
+    B = Counter(map(_cycle_type, _alpha_betas(n)))
+    Bp = Counter()
+    for lam, b in B.items():
+        Bp[len(lam)] += b
+    return B, Bp
+
+
+def _merged_types(mu):
+    """The type of the merged cycle lengths of each set partition of mu's
+    cycles, one entry per set partition (Bell(len(mu)) in all): cycle i
+    joins a block opened before it or opens a new one, on a plain list of
+    block sums."""
+    types, sums = [], []
+
+    def place(i):
+        if i == len(mu):
+            types.append(tuple(sorted(sums, reverse=True)))
+            return
+        for j in range(len(sums)):
+            sums[j] += mu[i]
+            place(i + 1)
+            sums[j] -= mu[i]
+        sums.append(mu[i])
+        place(i + 1)
+        sums.pop()
+
+    place(0)
+    return types
 
 
 @cache
 def _pair_sweep(n):
-    """(C, D) by the type of pi, read off the S_n sweep: for each cycle
-    type mu, every set partition of mu's cycles is one couple for each of
-    the A[mu] permutations of type mu, of the type its merged cycle
-    lengths give; B[mu] of those couples have a long complement."""
-    A, B, _ = _sn_sweep(n)
+    """(C, D) by the type of pi, read off the S_n sweep and the alpha walk:
+    for each cycle type mu, every set partition of mu's cycles is one
+    couple for each of the A[mu] permutations of type mu, of the type its
+    merged cycle lengths give; B[mu] of those couples have a long
+    complement (n >= 1)."""
+    B = _alpha_sweep(n)[0]
     C, D = Counter(), Counter()
-    for mu, a in A.items():
+    for mu, a in _sn_sweep(n).items():
         b = B[mu]
-        for rho in partitions_of(len(mu)):
-            for sigma in set_partitions_of_type(rho):
-                lam = tuple(sorted((sum(mu[i - 1] for i in block)
-                                    for block in sigma.blocks), reverse=True))
-                C[lam] += a
-                D[lam] += b
+        for lam, k in Counter(_merged_types(mu)).items():
+            C[lam] += a * k
+            D[lam] += b * k
     return C, D
 
 
 def enumerate_A(lam, budget=DEFAULT_BUDGET):
     """Count permutations of type lam by sweeping S_n."""
     _check(lam.size, budget, "S_n", long_cycle=False)
-    return _sn_sweep(lam.size)[0][lam]
+    return _sn_sweep(lam.size)[lam]
 
 
 def enumerate_B(lam, budget=DEFAULT_BUDGET):
-    """Count permutations beta of type lam with (1 2 .. n) beta^{-1} long."""
+    """Count permutations beta of type lam with (1 2 .. n) beta^{-1} long,
+    by walking the long cycles."""
     _check(lam.size, budget, "S_n")
-    return _sn_sweep(lam.size)[1][lam]
+    return _alpha_sweep(lam.size)[0][lam]
 
 
 def enumerate_Bprime(n, m, budget=DEFAULT_BUDGET):
-    """Count permutations beta of [n] with m cycles and long complement."""
+    """Count permutations beta of [n] with m cycles and long complement, by
+    walking the long cycles."""
     _check(n, budget, "S_n")
-    return _sn_sweep(n)[2][m]
+    return _alpha_sweep(n)[1][m]
 
 
 def enumerate_CD(lam, budget=DEFAULT_BUDGET):

@@ -89,8 +89,8 @@ def test_table_refusal(capsys):
 
 
 def test_table_oracle_default_budget_per_family(capsys):
-    # C and D are read off the S_n sweep, so they share A's budget of 8;
-    # test_table_refusal covers C 9
+    # C and D are read off the S_n sweep and the alpha walk, so they
+    # share A's budget of 8; test_table_refusal covers C 9
     code, out, err = run(capsys, "table", "D", "9", "--oracle")
     assert code == 2
     assert out == ""

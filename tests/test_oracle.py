@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -7,8 +9,11 @@ from hypothesis import given, seed, settings, strategies as st
 from thorntrees.counting import count_C, count_D, solve_B, stirling1_unsigned
 from thorntrees.oracle import (
     BudgetExceeded,
+    _alpha_betas,
+    _alpha_sweep,
     _complement_orbit,
     _cycle_type,
+    _merged_types,
     enumerate_A,
     enumerate_B,
     enumerate_Bprime,
@@ -91,6 +96,39 @@ def test_sn_sweep_matches_permutation_objects(n):
         assert enumerate_Bprime(n, m) == Bp.get(m, 0)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_alpha_walk_matches_the_beta_side(n):
+    # Reference: every beta in S_n, kept when its complement orbit is long
+    B, Bp = Counter(), Counter()
+    for beta in permutations(range(1, n + 1)):
+        if len(_complement_orbit(beta)) == n:
+            lam = _cycle_type(beta)
+            B[lam] += 1
+            Bp[len(lam)] += 1
+    assert _alpha_sweep(n) == (B, Bp)
+    if n <= 7:
+        betas = list(_alpha_betas(n))
+        assert len(set(betas)) == len(betas) == factorial(n - 1)
+        assert all(len(_complement_orbit(beta)) == n for beta in betas)
+
+
+BELL = [1, 1, 2, 5, 15, 52, 203, 877]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_block_sums_match_set_partitions(n):
+    # Reference: mu's cycles merged over every SetPartition of them
+    for mu in partitions_of(n):
+        ref = Counter(
+            tuple(sorted((sum(mu[i - 1] for i in block)
+                          for block in sigma.blocks), reverse=True))
+            for rho in partitions_of(len(mu))
+            for sigma in set_partitions_of_type(rho))
+        types = _merged_types(tuple(mu))
+        assert len(types) == BELL[len(mu)]
+        assert Counter(types) == ref
+
+
 def test_enumerate_B_matches_solver_at_8():
     table = solve_B(8)
     for lam in partitions_of(8):
@@ -122,6 +160,7 @@ def test_enumerate_CD_matches_formulas_at_8():
 def test_enumerate_CD_matches_couple_walk(n):
     # Reference: every couple (pi, beta in S_pi) walked one by one, and
     # every star map built; the pair sweep reads both off the S_n sweep
+    # and the alpha walk
     for lam in partitions_of(n):
         C = sum(1 for pi in set_partitions_of_type(lam) for _ in _each_beta(pi))
         D = sum(1 for _ in all_star_maps(lam))
@@ -155,7 +194,8 @@ def test_budget_refusal():
         enumerate_CD(Partition([9]))
     with pytest.raises(BudgetExceeded):
         reformulation_probability(Partition([5, 4]))
-    # C and D are read off the S_n sweep, so they share its default budget
+    # C and D are read off the S_n sweep and the alpha walk, so they share
+    # their default budget
     assert enumerate_CD(Partition([8]))[0] == factorial(8)
     with pytest.raises(BudgetExceeded):  # overridable
         enumerate_CD(Partition([8]), budget=7)

@@ -69,7 +69,13 @@ def test_building_the_parser_loads_three_modules():
     assert package_modules(loaded) == {
         "thorntrees", "thorntrees.cli", "thorntrees.oracle",
         "thorntrees.partition"}
-    assert not loaded & HEAVY
+    assert not loaded & (HEAVY | {"json"})
+
+
+def test_csv_tables_load_no_json():
+    assert "json" not in loaded_by("table", "A", "5", "--oracle")
+    assert "json" in loaded_by("table", "A", "5", "--oracle",
+                               "--format", "json")
 
 
 @pytest.mark.parametrize("argv", [

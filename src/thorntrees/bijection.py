@@ -12,47 +12,26 @@ that edge's black vertex (P2).
 from itertools import chain, permutations as iperm
 
 from .oracle import (DEFAULT_BUDGET, InternalCheckError, _check,
-                     _complement_orbit)
-from .partition import SetPartition, Value, _require_ints, _trusted
-from .perm import Permutation
-from .structures import (
-    BlackPartitionedStarMap,
-    LabeledThornTree,
-    StarThornTree,
-    _black_lists,
-    _pack,
-    _unpack,
-    all_star_maps,
-    all_star_thorn_trees,
-    to_json_obj,
-)
+                     _complement_orbit, _cycle_type)
+from .partition import Partition, Value, _require_ints, _trusted
+from .structures import (LabeledThornTree, StarThornTree, _black_lists, _pack,
+                         _star_map, _star_maps, _thorn_targets, _unpack,
+                         all_star_thorn_trees, to_json_obj)
 
 
 class NoP1Error(ValueError):
     """Leftmost root slot is a thorn, so the auxiliary graph is undefined."""
 
 
-def psi_label(m):
-    """Build the labeled star thorn tree of a black-partitioned star map.
-
-    White slots are labeled right-to-left with the alpha-orbit starting at
-    1; one edge per block sits at the label beta(max of block); black
-    thorns are labeled counter-clockwise following the block's cycles in
-    decreasing order of their maxima.  Slot j carries alpha^{-(j+1)}(1):
-    the white labels are the walk of ``oracle._complement_orbit``, the one
-    that decides whether m is a star map.
-    """
-    n = m.n
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    label_at = _complement_orbit(m.beta.images)
-    if len(label_at) < n:
-        raise ValueError("the white-slot labeling needs alpha to be a "
-                         "long cycle; got alpha of type %r"
-                         % (m.alpha.cycle_type(),))
-
+def _psi_kernel(label_at, grouped):
+    """Psi on plain tuples: (white, blacks, black_labels, sigma) of the
+    star map with white labels ``label_at`` (right to left) and cycles
+    ``grouped`` by block (as ``cycles_by_block``).  One edge per block sits
+    at the label beta(max of block); black thorns are labeled ccw along the
+    block's cycles by decreasing maximum; ``sigma`` gives each white thorn,
+    left to right, the (black, thorn index) carrying its label."""
     # a block's first cycle ends at its maximum, so beta(max) starts it
-    block_at_edge = {cycles[0][0]: cycles for cycles in m.cycles_by_block()}
+    block_at_edge = {cycles[0][0]: cycles for cycles in grouped}
     white = []
     black_labels = []
     for lab in label_at:
@@ -62,11 +41,27 @@ def psi_label(m):
         else:
             white.append(len(black_labels))
             black_labels.append(tuple(chain(cycles[0][1:], *cycles[1:])))
+    return (tuple(white), tuple(map(len, black_labels)), tuple(black_labels),
+            _thorn_targets(white, label_at, black_labels))
 
-    tree = _trusted(StarThornTree, white=tuple(white),
-                    blacks=tuple(len(labs) for labs in black_labels))
+
+def psi_label(m):
+    """Build the labeled star thorn tree of a black-partitioned star map:
+    ``_psi_kernel`` on its white labels, right to left the orbit of 1 under
+    alpha^{-1}, from the walk that decides whether m is a star map."""
+    n = m.n
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    images = m.beta.images
+    label_at = _complement_orbit(images)
+    if len(label_at) < n:  # alpha^{-1}(k) = beta(k - 1)
+        alpha_type = Partition(_cycle_type(images[-1:] + images[:-1]))
+        raise ValueError("the white-slot labeling needs alpha to be a "
+                         "long cycle; got alpha of type %r" % (alpha_type,))
+    white, blacks, labels, _ = _psi_kernel(label_at, m.cycles_by_block())
+    tree = _trusted(StarThornTree, white=white, blacks=blacks)
     return _trusted(LabeledThornTree, tree=tree, white_labels=tuple(label_at),
-                    black_labels=tuple(black_labels))
+                    black_labels=labels)
 
 
 def psi(m):
@@ -128,7 +123,7 @@ def psi_inverse(t):
                          else ["t", b, stop - 2 - beta_el]})
     # success labels each slot and each black element once: the map is
     # valid by construction, and Psi run forward on it is the check
-    m = _map(*_cycles(shape, label))
+    m = _star_map(*_cycles(shape, label))
     labeled = psi_label(m) if m.is_star else None
     if labeled is None or labeled.to_permuted() != t:
         raise InternalCheckError("inverse self-check failed")
@@ -221,14 +216,6 @@ def _cycles(shape, label):
     # each block is a union of beta's cycles; disjoint blocks sort by minimum
     blocks = tuple(sorted(tuple(sorted(r)) for r in readings))
     return tuple(images), blocks
-
-
-def _map(images, blocks):
-    """The star map of a completed label walk's beta and blocks."""
-    n = len(images)
-    return _trusted(BlackPartitionedStarMap,
-                    beta=_trusted(Permutation, n=n, images=images),
-                    pi=_trusted(SetPartition, n=n, blocks=blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +472,15 @@ def roundtrip_stats(lam, budget=DEFAULT_BUDGET):
                 then the maps whose image was never swept;
       agree     whether classify calls exactly the recoverable trees
                 images.
-    Each tree shape's sigmas are walked on plain tuples: the inverse's
-    label walk runs per sigma, and the shape's verdicts give classify's.
+    Maps, images and each tree shape's sigmas are all plain tuples
+    (``_star_maps``, ``_psi_kernel``): the inverse's label walk runs per
+    sigma, and the shape's verdicts give classify's.  A map object is
+    built only for a failure.
     """
     preimage = {}
-    for m in all_star_maps(lam, budget):
-        t = psi(m)
-        preimage[t.tree.white, t.tree.blacks,
-                 tuple(bt for _, bt in t.sigma)] = m
+    for beta, blocks, grouped in _star_maps(lam, budget):
+        white, blacks, _, sigma = _psi_kernel(_complement_orbit(beta), grouped)
+        preimage[white, blacks, sigma] = beta, blocks
     images = len(preimage)
     failures = []
     agree = True
@@ -507,11 +495,9 @@ def roundtrip_stats(lam, budget=DEFAULT_BUDGET):
             m = preimage.pop((tree.white, tree.blacks, sigma), None)
             if m is None:
                 continue
-            if collision is not None:
-                failures.append((m, None))
-                continue
-            beta, blocks = _cycles(shape, label)
-            if beta != m.beta.images or blocks != m.pi.blocks:
-                failures.append((m, _map(beta, blocks)))
-    failures += [(m, None) for m in preimage.values()]  # never swept
+            recovered = None if collision else _cycles(shape, label)
+            if recovered != m:
+                failures.append((_star_map(*m),
+                                 recovered and _star_map(*recovered)))
+    failures += [(_star_map(*m), None) for m in preimage.values()]
     return images, failures, agree

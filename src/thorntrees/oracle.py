@@ -12,6 +12,8 @@ per-type counters of a sweep are kept (memoised per n):
   alpha walk   every long cycle alpha     -> B by type, B' by cycles
   pair sweep   every set partition of the -> C and D by the type of pi
                cycles, per cycle type
+  star maps    alpha walk x the set       -> the maps of one type
+               partitions of the cycles      (structures.all_star_maps)
 
 ST has no sweep of its own: it counts the trees that
 ``structures.all_star_thorn_trees`` builds, each tree once, per type.
@@ -117,27 +119,33 @@ def _alpha_sweep(n):
     return B, Bp
 
 
-def _merged_types(mu):
-    """The type of the merged cycle lengths of each set partition of mu's
-    cycles, one entry per set partition (Bell(len(mu)) in all): cycle i
-    joins a block opened before it or opens a new one, on a plain list of
-    block sums."""
-    types, sums = [], []
+@cache
+def _cycle_groupings(mu):
+    """The set partitions of mu's cycle positions 0 .. len(mu) - 1 (Bell
+    of len(mu) in all), by the type of their merged cycle lengths: each
+    position joins a block opened before it or opens a new one, so each
+    block is increasing and the blocks come by their first position."""
+    groupings, blocks, sums = {}, [], []
 
     def place(i):
         if i == len(mu):
-            types.append(tuple(sorted(sums, reverse=True)))
+            lam = tuple(sorted(sums, reverse=True))
+            groupings.setdefault(lam, []).append(tuple(map(tuple, blocks)))
             return
-        for j in range(len(sums)):
+        for j, block in enumerate(blocks):
+            block.append(i)
             sums[j] += mu[i]
             place(i + 1)
             sums[j] -= mu[i]
+            block.pop()
+        blocks.append([i])
         sums.append(mu[i])
         place(i + 1)
         sums.pop()
+        blocks.pop()
 
     place(0)
-    return types
+    return groupings
 
 
 @cache
@@ -151,9 +159,9 @@ def _pair_sweep(n):
     C, D = Counter(), Counter()
     for mu, a in _sn_sweep(n).items():
         b = B[mu]
-        for lam, k in Counter(_merged_types(mu)).items():
-            C[lam] += a * k
-            D[lam] += b * k
+        for lam, groupings in _cycle_groupings(mu).items():
+            C[lam] += a * len(groupings)
+            D[lam] += b * len(groupings)
     return C, D
 
 

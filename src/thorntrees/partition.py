@@ -215,17 +215,6 @@ def set_partitions_of_type(lam):
         yield _trusted(SetPartition, n=n, blocks=blocks)
 
 
-def _each_beta(pi):
-    """Run through S_pi, yielding one 1-based image list (the image of k
-    at index k - 1) rewritten in place."""
-    images = [0] * pi.n
-    sources = [x - 1 for b in pi.blocks for x in b]
-    for targets in product(*map(permutations, pi.blocks)):
-        for src, dst in zip(sources, chain.from_iterable(targets)):
-            images[src] = dst
-        yield images
-
-
 def permutations_in(pi):
     """All permutations of {1..n} whose every cycle stays inside a block of pi.
 
@@ -234,5 +223,9 @@ def permutations_in(pi):
     """
     from .perm import Permutation
 
-    for images in _each_beta(pi):
+    images = [0] * pi.n
+    sources = [x - 1 for b in pi.blocks for x in b]
+    for targets in product(*map(permutations, pi.blocks)):
+        for src, dst in zip(sources, chain.from_iterable(targets)):
+            images[src] = dst
         yield Permutation(images)

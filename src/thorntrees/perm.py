@@ -36,29 +36,8 @@ class Permutation(Value):
         return Permutation(inv)
 
     def cycles(self):
-        """Cycle decomposition in canonical form.
-
-        Each cycle is written with its maximum element last; cycles are
-        ordered by decreasing maximum.
-        """
-        seen = [False] * (self.n + 1)
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            k = self(start)
-            while k != start:
-                cyc.append(k)
-                seen[k] = True
-                k = self(k)
-            m = max(cyc)
-            j = cyc.index(m)
-            cyc = cyc[j + 1:] + cyc[:j + 1]  # rotate so the maximum comes last
-            out.append(tuple(cyc))
-        out.sort(key=lambda c: -c[-1])
-        return out
+        """Cycle decomposition in canonical form (see ``_cycles``)."""
+        return _cycles(self.images)
 
     def cycle_type(self):
         return Partition(sorted((len(c) for c in self.cycles()), reverse=True))
@@ -69,6 +48,24 @@ class Permutation(Value):
         For n=1 the identity counts as a long cycle.
         """
         return len(self.cycles()) == 1 or self.n == 0
+
+
+def _cycles(images):
+    """The cycles of a 1-based image tuple in canonical form: each cycle
+    is written with its maximum element last, and cycles are ordered by
+    decreasing maximum.  The walk runs from n downward, so each cycle is
+    met at its maximum and written from that element's image on."""
+    seen = [False] * (len(images) + 1)
+    out = []
+    for top in range(len(images), 0, -1):
+        if not seen[top]:
+            cyc, k = [], images[top - 1]
+            while k != top:  # top is never met again: no need to mark it
+                seen[k] = True
+                cyc.append(k)
+                k = images[k - 1]
+            out.append((*cyc, top))
+    return out
 
 
 def compose(f, g):

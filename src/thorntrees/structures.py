@@ -12,19 +12,12 @@ clockwise reading used for cycle recovery is the reverse traversal.
 """
 
 import json
-from itertools import combinations, count, permutations as iperm
+from itertools import chain, combinations, count, permutations as iperm
 
-from .oracle import DEFAULT_BUDGET, _check, _complement_orbit
-from .partition import (
-    Partition,
-    SetPartition,
-    Value,
-    _each_beta,
-    _require_ints,
-    _trusted,
-    set_partitions_of_type,
-)
-from .perm import Permutation, canonical_long_cycle, compose
+from .oracle import (DEFAULT_BUDGET, _alpha_betas, _check, _complement_orbit,
+                     _cycle_groupings)
+from .partition import Partition, SetPartition, Value, _require_ints, _trusted
+from .perm import Permutation, _cycles, canonical_long_cycle, compose
 
 
 class ParseError(ValueError):
@@ -201,13 +194,18 @@ class LabeledThornTree(Value):
 
     def to_permuted(self):
         """Forget label values; sigma pairs equal labels."""
-        pos_of = {}
-        for b, labs in enumerate(self.black_labels):
-            for t, lab in enumerate(labs):
-                pos_of[lab] = (b, t)
-        sigma = tuple((s, pos_of[self.white_labels[s]])
-                      for s in self.tree.white_thorn_slots())
-        return _trusted(PermutedThornTree, tree=self.tree, sigma=sigma)
+        targets = _thorn_targets(self.tree.white, self.white_labels,
+                                 self.black_labels)
+        return _trusted(PermutedThornTree, tree=self.tree, sigma=tuple(
+            zip(self.tree.white_thorn_slots(), targets)))
+
+
+def _thorn_targets(white, white_labels, black_labels):
+    """For each white thorn, left to right, the black thorn (black, thorn
+    index) with the same label: the sigma that pairs equal labels."""
+    at = {lab: (b, t) for b, labs in enumerate(black_labels)
+          for t, lab in enumerate(labs)}
+    return tuple(at[lab] for lab, b in zip(white_labels, white) if b is None)
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +249,35 @@ def all_permuted_trees(lam, budget=DEFAULT_BUDGET):
                            sigma=tuple(zip(wslots, image)))
 
 
+def _star_maps(lam, budget=DEFAULT_BUDGET):
+    """Every black-partitioned star map of type lam on plain tuples, as
+    (beta's images, pi's blocks, the cycles by block as ``cycles_by_block``
+    has them): each beta of ``oracle._alpha_betas``, once with each set
+    partition of its cycles into blocks of type lam.  Needs n >= 1."""
+    _check(lam.size, budget, "map")
+    for images in _alpha_betas(lam.size):
+        # stable: position i holds a cycle of length mu[i]
+        cycles = sorted(_cycles(images), key=len, reverse=True)
+        for grouping in _cycle_groupings(tuple(map(len, cycles))).get(lam, ()):
+            grouped = [sorted((cycles[i] for i in b), key=lambda c: -c[-1])
+                       for b in grouping]
+            blocks = sorted(tuple(sorted(chain(*g))) for g in grouped)
+            yield images, tuple(blocks), grouped
+
+
+def _star_map(images, blocks):
+    """The star map of valid beta images and pi blocks, unvalidated."""
+    n = len(images)
+    return _trusted(BlackPartitionedStarMap,
+                    beta=_trusted(Permutation, n=n, images=images),
+                    pi=_trusted(SetPartition, n=n, blocks=blocks))
+
+
 def all_star_maps(lam, budget=DEFAULT_BUDGET):
-    """Every black-partitioned star map of type lam (alpha a long cycle):
-    the couples (pi, beta in S_pi) are walked in place, and a map is built
-    only when alpha is long.  Needs n >= 1.
-    """
-    n = lam.size
-    _check(n, budget, "map")
-    for pi in set_partitions_of_type(lam):
-        for images in _each_beta(pi):
-            if len(_complement_orbit(images)) == n:
-                beta = _trusted(Permutation, n=n, images=tuple(images))
-                yield _trusted(BlackPartitionedStarMap, beta=beta, pi=pi)
+    """Every black-partitioned star map of type lam (alpha a long cycle),
+    exactly once.  Needs n >= 1."""
+    return (_star_map(beta, blocks) for beta, blocks, _ in
+            _star_maps(lam, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import hypothesis
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thorntrees.bijection import (
     AuxGraph,
@@ -69,6 +71,21 @@ def test_psi_rejects_non_star():
         "got alpha of type Partition(1, 1, 1)")
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_psi_non_star_error_names_the_type_of_alpha(n):
+    from thorntrees.perm import all_permutations
+
+    pi = SetPartition(n, [range(1, n + 1)])
+    for beta in all_permutations(n):
+        m = BlackPartitionedStarMap(beta, pi)
+        if m.is_star:
+            continue
+        with pytest.raises(ValueError) as exc:
+            psi_label(m)
+        assert str(exc.value).endswith(
+            "got alpha of type %r" % (m.alpha.cycle_type(),))
+
+
 def test_psi_inverse_on_worked_example():
     t = psi(fixture("example21.json"))
     out = psi_inverse(t)
@@ -99,6 +116,32 @@ def test_bijection_roundtrip_and_injectivity(n):
             out = psi_inverse(t)
             assert out.success and out.map == m
         assert len(images) == len(maps) == count_D(lam)
+
+
+def test_roundtrip_stats_reports_each_kind_of_failure(monkeypatch):
+    from thorntrees import bijection
+
+    lam = Partition([2])
+    [m] = all_star_maps(lam)  # beta the identity, one block {1, 2}
+    kernel = bijection._psi_kernel
+    assert bijection.roundtrip_stats(lam) == (1, [], True)
+
+    def mirrored(label_at, grouped):  # an image tree mirrored lacks (P1)
+        white, blacks, labels, sigma = kernel(label_at, grouped)
+        return white[::-1], blacks, labels, sigma
+
+    def nowhere(label_at, grouped):  # a key that no swept tree has
+        return ((),) + kernel(label_at, grouped)[1:]
+
+    for fake in (mirrored, nowhere):
+        monkeypatch.setattr(bijection, "_psi_kernel", fake)
+        assert bijection.roundtrip_stats(lam) == (1, [(m, None)], True)
+    monkeypatch.setattr(bijection, "_psi_kernel", kernel)
+    monkeypatch.setattr(bijection, "_cycles",
+                        lambda shape, label: ((2, 1), ((1, 2),)))
+    wrong = BlackPartitionedStarMap(Permutation((2, 1)),
+                                    SetPartition(2, [[1, 2]]))
+    assert bijection.roundtrip_stats(lam) == (1, [(m, wrong)], True)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -541,17 +584,30 @@ def _map_from_the_alpha_side(n, seed):
     return BlackPartitionedStarMap(beta, SetPartition(n, groups.values()))
 
 
-@pytest.mark.parametrize("n,seed", [(1000, 1), (1000, 2), (3000, 3),
-                                    (3000, 4)])
-def test_seeded_roundtrips_from_the_alpha_side(n, seed):
+def _roundtrip_from_the_alpha_side(n, seed):
     m = _map_from_the_alpha_side(n, seed)
     assert m.is_star and m.alpha.is_long_cycle()
     t = psi(m)
-    assert psi_inverse(t).map == m
+    out = psi_inverse(t)
+    assert out.map == m
+    assert out.labeled == psi_label(m)
     assert classify(t).kind == "image"
     assert deserialize(serialize(t)) == t
     for obj in (m, t, aux_graph(t)):
         assert to_dot(obj).endswith("}\n")
+
+
+@pytest.mark.parametrize("n,seed", [(1000, 1), (1000, 2), (3000, 3),
+                                    (3000, 4)])
+def test_seeded_roundtrips_from_the_alpha_side(n, seed):
+    _roundtrip_from_the_alpha_side(n, seed)
+
+
+@hypothesis.seed(1006)
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 10 ** 4), st.integers(0, 2 ** 32 - 1))
+def test_drawn_roundtrips_from_the_alpha_side(n, seed):
+    _roundtrip_from_the_alpha_side(n, seed)
 
 
 def test_label_walk_agrees_with_the_returned_labeled_tree():

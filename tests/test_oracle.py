@@ -12,8 +12,8 @@ from thorntrees.oracle import (
     _alpha_betas,
     _alpha_sweep,
     _complement_orbit,
+    _cycle_groupings,
     _cycle_type,
-    _merged_types,
     enumerate_A,
     enumerate_B,
     enumerate_Bprime,
@@ -23,8 +23,8 @@ from thorntrees.oracle import (
 )
 from thorntrees.partition import (
     Partition,
-    _each_beta,
     partitions_of,
+    permutations_in,
     set_partitions_of_type,
 )
 from thorntrees.perm import (
@@ -117,16 +117,23 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 
 @pytest.mark.parametrize("n", range(8))
 def test_block_sums_match_set_partitions(n):
-    # Reference: mu's cycles merged over every SetPartition of them
+    # Reference: mu's cycles merged over every SetPartition of them, its
+    # blocks read as 0-based cycle positions
     for mu in partitions_of(n):
-        ref = Counter(
-            tuple(sorted((sum(mu[i - 1] for i in block)
-                          for block in sigma.blocks), reverse=True))
-            for rho in partitions_of(len(mu))
-            for sigma in set_partitions_of_type(rho))
-        types = _merged_types(tuple(mu))
-        assert len(types) == BELL[len(mu)]
-        assert Counter(types) == ref
+        ref = {}
+        for rho in partitions_of(len(mu)):
+            for sigma in set_partitions_of_type(rho):
+                lam = tuple(sorted((sum(mu[i - 1] for i in block)
+                                    for block in sigma.blocks), reverse=True))
+                ref.setdefault(lam, []).append(
+                    tuple(tuple(i - 1 for i in block)
+                          for block in sigma.blocks))
+        groupings = _cycle_groupings(tuple(mu))
+        assert sum(map(len, groupings.values())) == BELL[len(mu)]
+        assert {lam: sorted(g) for lam, g in groupings.items()} \
+            == {lam: sorted(g) for lam, g in ref.items()}
+        for g in groupings.values():
+            assert len(set(g)) == len(g)
 
 
 def test_enumerate_B_matches_solver_at_8():
@@ -162,7 +169,8 @@ def test_enumerate_CD_matches_couple_walk(n):
     # every star map built; the pair sweep reads both off the S_n sweep
     # and the alpha walk
     for lam in partitions_of(n):
-        C = sum(1 for pi in set_partitions_of_type(lam) for _ in _each_beta(pi))
+        C = sum(1 for pi in set_partitions_of_type(lam)
+                for _ in permutations_in(pi))
         D = sum(1 for _ in all_star_maps(lam))
         assert enumerate_CD(lam) == (C, D)
 

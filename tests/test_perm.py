@@ -113,3 +113,15 @@ def test_associativity_and_inverse_laws(n, rnd):
 def test_cycle_type_sums_to_n(n):
     for f in all_permutations(n):
         assert f.cycle_type().size == n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cycles_follow_f_in_canonical_form(n):
+    for f in all_permutations(n):
+        cycles = f.cycles()
+        assert sorted(x for c in cycles for x in c) == list(range(1, n + 1))
+        for c in cycles:
+            assert c[-1] == max(c)
+            assert [f(x) for x in c] == list(c[1:] + c[:1])
+        assert [c[-1] for c in cycles] == sorted((c[-1] for c in cycles),
+                                                 reverse=True)

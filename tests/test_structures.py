@@ -1,10 +1,18 @@
 import re
+from collections import Counter
+from itertools import repeat
 
 import pytest
 
 from thorntrees.counting import count_D, count_ST
 from thorntrees.oracle import BudgetExceeded
-from thorntrees.partition import Partition, SetPartition, partitions_of
+from thorntrees.partition import (
+    Partition,
+    SetPartition,
+    partitions_of,
+    permutations_in,
+    set_partitions_of_type,
+)
 from thorntrees.perm import Permutation
 from thorntrees.structures import (
     BlackPartitionedStarMap,
@@ -152,12 +160,19 @@ def test_all_permuted_trees_count(n):
             assert rebuilt == t and hash(rebuilt) == hash(t)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_all_star_maps_are_stars(n):
+    # Reference: every couple (pi, beta in S_pi) of type lam, walked from
+    # the beta side and kept when its complement is long
     for lam in partitions_of(n):
         maps = list(all_star_maps(lam))
         assert len(maps) == len(set(maps)) == count_D(lam)
-        assert all(m.is_star and m.type_of() == lam for m in maps)
+        ref = [m for pi in set_partitions_of_type(lam)
+               for m in map(BlackPartitionedStarMap, permutations_in(pi),
+                            repeat(pi))
+               if m.is_star]
+        assert Counter(maps) == Counter(ref)
+        assert all(m.type_of() == lam for m in maps)
         # the enumerator skips validation; every map must still pass it
         for m in maps:
             rebuilt = BlackPartitionedStarMap(Permutation(m.beta.images),

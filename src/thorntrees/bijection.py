@@ -9,7 +9,8 @@ slot is a real edge (P1) and the auxiliary graph is a tree rooted at
 that edge's black vertex (P2).
 """
 
-from itertools import chain, permutations as iperm
+from itertools import chain, groupby, permutations as iperm
+from operator import itemgetter
 
 from .oracle import (DEFAULT_BUDGET, InternalCheckError, _check,
                      _complement_orbit, _cycle_type)
@@ -473,14 +474,16 @@ def roundtrip_stats(lam, budget=DEFAULT_BUDGET):
       agree     whether classify calls exactly the recoverable trees
                 images.
     Maps, images and each tree shape's sigmas are all plain tuples
-    (``_star_maps``, ``_psi_kernel``): the inverse's label walk runs per
-    sigma, and the shape's verdicts give classify's.  A map object is
-    built only for a failure.
+    (``_star_maps``, ``_psi_kernel``): the white labels are walked once
+    per beta, the inverse's label walk runs per sigma, and the shape's
+    verdicts give classify's.  A map object is built only for a failure.
     """
     preimage = {}
-    for beta, blocks, grouped in _star_maps(lam, budget):
-        white, blacks, _, sigma = _psi_kernel(_complement_orbit(beta), grouped)
-        preimage[white, blacks, sigma] = beta, blocks
+    for beta, maps in groupby(_star_maps(lam, budget), itemgetter(0)):
+        label_at = _complement_orbit(beta)
+        for _, blocks, grouped in maps:
+            white, blacks, _, sigma = _psi_kernel(label_at, grouped)
+            preimage[white, blacks, sigma] = beta, blocks
     images = len(preimage)
     failures = []
     agree = True

@@ -22,6 +22,13 @@ from .partition import partitions_of
 # 2 vCPUs under Python 3.11, solve_B takes 0.7-0.9 s at n = 40 and 1.8-3.2 s
 # at n = 45, and the three commands 1.0-1.5 s process wall at n = 40
 SOLVER_LIMIT = 40
+# table A|C|D|ST n from the closed forms take 0.9-2.0 s process wall at
+# n = 40 and 2.6-2.7 s at n = 45 for table A (2.6 and 6.9 MB of stdout)
+TABLE_LIMIT = 40
+# table stirling n takes 0.45 s at n = 1000 (1.5 MB) and 1.3-1.5 s at
+# n = 1500; near n = 1550 its largest entry passes the 4300 digits that
+# Python converts to text by default
+STIRLING_LIMIT = 1000
 # verify identities n works at degrees n and n+1; at n = 20 the suite takes
 # 0.6-0.8 s and 44 MB, and each step up costs about 1.6x the time and
 # 1.45x the memory (measured table in CHANGES.md)
@@ -79,6 +86,7 @@ def cmd_table(args):
         raise ValueError("--parity keeps partitions of a given length parity;"
                          " %s is indexed by m, not by partitions" % fam)
     if fam == "stirling":
+        _check_limit(n, STIRLING_LIMIT, "stirling")
         row = counting.stirling1_row(n)
         if args.format == "json":
             import json
@@ -100,6 +108,7 @@ def cmd_table(args):
         _check_limit(n, SOLVER_LIMIT, "solver")
         table = counting.solve_B(n)
     else:
+        _check_limit(n, TABLE_LIMIT, "table")
         table = counting.table_for(fam, n)
     if args.parity is not None:
         table = counting.CountTable(table.n, table.family, {

@@ -13,7 +13,9 @@ per-type counters of a sweep are kept (memoised per n):
   pair sweep   every set partition of the -> C and D by the type of pi
                cycles, per cycle type
   star maps    alpha walk x the set       -> the maps of one type
-               partitions of the cycles      (structures.all_star_maps)
+               partitions of each beta's     (structures.all_star_maps),
+               cycles, as perm._cycles       a beta's maps together
+               orders them
 
 ST has no sweep of its own: it counts the trees that
 ``structures.all_star_thorn_trees`` builds, each tree once, per type.
@@ -59,7 +61,8 @@ def _check(n, budget, kind, long_cycle=True):
 
 
 def _cycle_type(images):
-    """Sorted cycle lengths of a 1-based image tuple."""
+    """Sorted cycle lengths of a 1-based image tuple; InternalCheckError if
+    a cycle does not close at its start (the images are no permutation)."""
     seen = [False] * (len(images) + 1)
     lengths = []
     for start in range(1, len(images) + 1):
@@ -69,6 +72,9 @@ def _cycle_type(images):
                 seen[k] = True
                 k = images[k - 1]
                 size += 1
+            if k != start:
+                raise InternalCheckError(
+                    "images are not a permutation of {1..%d}" % len(images))
             lengths.append(size)
     lengths.sort(reverse=True)
     return tuple(lengths)
@@ -79,13 +85,18 @@ def _complement_orbit(images):
     off beta's 1-based images (n >= 1) as alpha^{-1}(k) = beta(k - 1), so
     no inverse is built: [beta(n), .., 1].  alpha is long exactly when it
     has n entries, and then they are Psi's white labels, left to right.
+    InternalCheckError if 1 is not met within n steps (the images are no
+    permutation).
     """
     orbit, k = [], images[-1]
-    while k != 1:
+    for _ in images:
+        if k == 1:
+            orbit.append(1)
+            return orbit
         orbit.append(k)
         k = images[k - 2]
-    orbit.append(1)
-    return orbit
+    raise InternalCheckError(
+        "images are not a permutation of {1..%d}" % len(images))
 
 
 @cache
@@ -121,10 +132,12 @@ def _alpha_sweep(n):
 
 @cache
 def _cycle_groupings(mu):
-    """The set partitions of mu's cycle positions 0 .. len(mu) - 1 (Bell
-    of len(mu) in all), by the type of their merged cycle lengths: each
-    position joins a block opened before it or opens a new one, so each
-    block is increasing and the blocks come by their first position."""
+    """The set partitions of the positions 0 .. len(mu) - 1 of a sequence
+    mu of cycle lengths, in any order (Bell of len(mu) in all), by the
+    type of their merged cycle lengths: each position joins a block opened
+    before it or opens a new one, so each block is increasing and the
+    blocks come by their first position.  The pair sweep passes sorted
+    types, the star maps the lengths in ``perm._cycles`` order."""
     groupings, blocks, sums = {}, [], []
 
     def place(i):

@@ -4,6 +4,7 @@ All ground-set elements are 1-based. Permutations are immutable; the
 ``images`` tuple stores the image of k at index k-1.
 """
 
+from .oracle import InternalCheckError
 from .partition import Partition, Value, _require_ints
 
 
@@ -54,13 +55,19 @@ def _cycles(images):
     """The cycles of a 1-based image tuple in canonical form: each cycle
     is written with its maximum element last, and cycles are ordered by
     decreasing maximum.  The walk runs from n downward, so each cycle is
-    met at its maximum and written from that element's image on."""
+    met at its maximum and written from that element's image on.
+    InternalCheckError on a revisited element (the images are no
+    permutation)."""
     seen = [False] * (len(images) + 1)
     out = []
     for top in range(len(images), 0, -1):
         if not seen[top]:
             cyc, k = [], images[top - 1]
             while k != top:  # top is never met again: no need to mark it
+                if seen[k]:
+                    raise InternalCheckError(
+                        "images are not a permutation of {1..%d}"
+                        % len(images))
                 seen[k] = True
                 cyc.append(k)
                 k = images[k - 1]

@@ -17,7 +17,7 @@ from itertools import chain, combinations, count, permutations as iperm
 from .oracle import (DEFAULT_BUDGET, _alpha_betas, _check, _complement_orbit,
                      _cycle_groupings)
 from .partition import Partition, SetPartition, Value, _require_ints, _trusted
-from .perm import Permutation, _cycles, canonical_long_cycle, compose
+from .perm import Permutation, _cycles
 
 
 class ParseError(ValueError):
@@ -146,10 +146,6 @@ class BlackPartitionedStarMap(Value):
         return grouped
 
     @property
-    def alpha(self):
-        return compose(canonical_long_cycle(self.n), self.beta.inverse())
-
-    @property
     def is_star(self):
         """alpha is a long cycle: Psi's white-label walk covers all n."""
         if self.n < 1:
@@ -253,14 +249,14 @@ def _star_maps(lam, budget=DEFAULT_BUDGET):
     """Every black-partitioned star map of type lam on plain tuples, as
     (beta's images, pi's blocks, the cycles by block as ``cycles_by_block``
     has them): each beta of ``oracle._alpha_betas``, once with each set
-    partition of its cycles into blocks of type lam.  Needs n >= 1."""
+    partition of its cycles into blocks of type lam, its maps together.
+    Needs n >= 1."""
     _check(lam.size, budget, "map")
     for images in _alpha_betas(lam.size):
-        # stable: position i holds a cycle of length mu[i]
-        cycles = sorted(_cycles(images), key=len, reverse=True)
+        cycles = _cycles(images)
         for grouping in _cycle_groupings(tuple(map(len, cycles))).get(lam, ()):
-            grouped = [sorted((cycles[i] for i in b), key=lambda c: -c[-1])
-                       for b in grouping]
+            # a block's positions increase: its cycles by decreasing maximum
+            grouped = [[cycles[i] for i in b] for b in grouping]
             blocks = sorted(tuple(sorted(chain(*g))) for g in grouped)
             yield images, tuple(blocks), grouped
 

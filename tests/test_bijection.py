@@ -19,7 +19,7 @@ from thorntrees.bijection import (
 from thorntrees.counting import count_D
 from thorntrees.dot import to_dot
 from thorntrees.partition import Partition, SetPartition, partitions_of
-from thorntrees.perm import Permutation
+from thorntrees.perm import Permutation, canonical_long_cycle, compose
 from thorntrees.structures import (
     BlackPartitionedStarMap,
     LabeledThornTree,
@@ -83,7 +83,8 @@ def test_psi_non_star_error_names_the_type_of_alpha(n):
         with pytest.raises(ValueError) as exc:
             psi_label(m)
         assert str(exc.value).endswith(
-            "got alpha of type %r" % (m.alpha.cycle_type(),))
+            "got alpha of type %r"
+            % (compose(canonical_long_cycle(n), beta.inverse()).cycle_type(),))
 
 
 def test_psi_inverse_on_worked_example():
@@ -586,7 +587,8 @@ def _map_from_the_alpha_side(n, seed):
 
 def _roundtrip_from_the_alpha_side(n, seed):
     m = _map_from_the_alpha_side(n, seed)
-    assert m.is_star and m.alpha.is_long_cycle()
+    assert m.is_star
+    assert compose(canonical_long_cycle(n), m.beta.inverse()).is_long_cycle()
     t = psi(m)
     out = psi_inverse(t)
     assert out.map == m
@@ -633,3 +635,45 @@ def test_label_walk_agrees_with_the_returned_labeled_tree():
                              for a, z in zip(starts, stops)) \
                     == out.labeled.black_labels
     assert recovered == 1065
+
+
+def test_cycle_walks_refuse_a_non_permutation():
+    """Only an unvalidated object can carry images that are no permutation;
+    every walk over them stops with InternalCheckError instead of looping."""
+    from thorntrees.oracle import InternalCheckError, _cycle_type
+    from thorntrees.partition import _trusted
+
+    bad = _trusted(Permutation, n=2, images=(2, 2))
+    m = _trusted(BlackPartitionedStarMap, beta=bad,
+                 pi=_trusted(SetPartition, n=2, blocks=((1, 2),)))
+    for walk in (bad.cycles, lambda: repr(bad), lambda: m.is_star,
+                 lambda: psi_label(m), lambda: _cycle_type(bad.images)):
+        with pytest.raises(InternalCheckError,
+                           match=r"not a permutation of \{1\.\.2\}"):
+            walk()
+
+
+@pytest.mark.parametrize("lam", partitions_of(6), ids=str)
+def test_roundtrip_stats_walks_each_beta_once(monkeypatch, lam):
+    """(n-1)! cycle walks, one per beta of the alpha walk, and one white
+    label walk per beta that has a map of type lam, not one per map."""
+    from collections import Counter
+
+    from thorntrees import bijection, structures
+
+    betas = {m.beta.images for m in all_star_maps(lam)}
+    calls = Counter()
+
+    def counted(name, walk):
+        def wrapper(images):
+            calls[name] += 1
+            return walk(images)
+        return wrapper
+
+    monkeypatch.setattr(structures, "_cycles",
+                        counted("cycles", structures._cycles))
+    monkeypatch.setattr(bijection, "_complement_orbit",
+                        counted("orbit", bijection._complement_orbit))
+    images, failures, agree = bijection.roundtrip_stats(lam)
+    assert (images, failures, agree) == (count_D(lam), [], True)
+    assert calls == {"cycles": 120, "orbit": len(betas)}

@@ -6,11 +6,11 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from thorntrees import bijection, structures
 from thorntrees.bijection import psi, psi_inverse
-from thorntrees.cli import main
+from thorntrees.cli import SUITES, main
 from thorntrees.counting import count_A
 from thorntrees.structures import deserialize
 
@@ -842,9 +842,57 @@ def test_thorn_ranks_out_of_order_are_refused(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["table", family, "99999999999999999999"] for family in "ACD"])
 def test_n_too_large_for_factorial_is_a_usage_error(capsys, argv):
+    # the table limit refuses such an n before factorial is reached
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "refused: n=99999999999999999999 exceeds table limit 40\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("family,n,limit", [
+    *[(family, "41", "table limit 40") for family in ("A", "C", "D", "ST")],
+    ("stirling", "1001", "stirling limit 1000")])
+def test_table_limit_refusals(capsys, family, n, limit, fmt):
+    code, out, err = run(capsys, "table", family, n, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "refused: n=%s exceeds %s\n" % (n, limit)
+
+
+@st.composite
+def table_and_verify_argvs(draw):
+    n = draw(st.integers(-2, 6) | st.sampled_from(
+        [41, 1001, 10 ** 20, -10 ** 20]))
+    if draw(st.booleans()):
+        argv = ["table", draw(st.sampled_from(
+            ["A", "B", "Bprime", "C", "D", "ST", "stirling"])), str(n)]
+        if draw(st.booleans()):
+            argv += ["--parity", str(draw(st.integers(-1, 2)))]
+        if draw(st.booleans()):
+            argv.append("--oracle")
+        if draw(st.booleans()):
+            argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    else:
+        argv = ["verify", draw(st.sampled_from(sorted(SUITES))), str(n)]
+    if draw(st.booleans()):
+        argv += ["--budget", str(draw(st.integers(-2, 8)))]
+    return argv
+
+
+@seed(1006)
+@settings(max_examples=150, deadline=None)
+@given(table_and_verify_argvs())
+def test_table_and_verify_argv_keep_the_exit_code_contract(argv):
+    """Exit 0, 1 or 2, never an exception; 2 with empty stdout or a refused
+    report, 1 only with a failed report."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out = out.getvalue()
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 2 and out:
+        assert json.loads(out)["status"] == "refused", argv
+    if code == 1:
+        assert json.loads(out)["status"] == "fail", argv
 
 
 IDENTITIES_REFUSED = """{

@@ -13,13 +13,14 @@ from thorntrees.partition import (
     permutations_in,
     set_partitions_of_type,
 )
-from thorntrees.perm import Permutation
+from thorntrees.perm import Permutation, canonical_long_cycle, compose
 from thorntrees.structures import (
     BlackPartitionedStarMap,
     LabeledThornTree,
     ParseError,
     PermutedThornTree,
     StarThornTree,
+    _star_maps,
     all_permuted_trees,
     all_star_maps,
     all_star_thorn_trees,
@@ -87,7 +88,8 @@ def test_map_alpha_example():
     beta = Permutation((1, 5, 7, 4, 2, 6, 3))  # (2 5)(3 7)
     pi = SetPartition(7, [[1], [2, 5], [3, 7], [4], [6]])
     m = BlackPartitionedStarMap(beta, pi)
-    assert m.alpha == Permutation((2, 6, 1, 5, 3, 7, 4))  # (1 2 6 7 4 5 3)
+    alpha = compose(canonical_long_cycle(7), m.beta.inverse())
+    assert alpha == Permutation((2, 6, 1, 5, 3, 7, 4))  # (1 2 6 7 4 5 3)
     assert m.is_star
 
 
@@ -178,6 +180,17 @@ def test_all_star_maps_are_stars(n):
             rebuilt = BlackPartitionedStarMap(Permutation(m.beta.images),
                                               SetPartition(n, m.pi.blocks))
             assert rebuilt == m and hash(rebuilt) == hash(m)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_star_maps_group_cycles_as_cycles_by_block(n):
+    # the tuple enumerator's blocks of cycles, read off the cycle walk's
+    # order, against the validated map object's own grouping
+    for lam in partitions_of(n):
+        for images, blocks, grouped in _star_maps(lam):
+            m = BlackPartitionedStarMap(Permutation(images),
+                                        SetPartition(n, blocks))
+            assert sorted(grouped) == sorted(m.cycles_by_block())
 
 
 def test_generation_budget():

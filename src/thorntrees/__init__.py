@@ -23,8 +23,8 @@ _EXPORTS = {
                   "classify", "contract", "expand", "proportion_stats", "psi",
                   "psi_inverse", "psi_label"),
     "oracle": ("BudgetExceeded", "enumerate_A", "enumerate_B",
-               "enumerate_Bprime", "enumerate_CD", "enumerate_ST",
-               "reformulation_probability"),
+               "enumerate_Bprime", "enumerate_C", "enumerate_CD",
+               "enumerate_ST", "reformulation_probability"),
     "symfun": ("SymPoly", "delta", "elementary_in_p", "m_to_p", "p_to_m",
                "verify_C2A", "verify_D2B", "verify_reduction"),
 }

@@ -9,7 +9,8 @@ slot is a real edge (P1) and the auxiliary graph is a tree rooted at
 that edge's black vertex (P2).
 """
 
-from itertools import chain, groupby, permutations as iperm
+from collections import Counter
+from itertools import chain, permutations as iperm
 from operator import itemgetter
 
 from .oracle import (DEFAULT_BUDGET, InternalCheckError, _check,
@@ -300,27 +301,33 @@ def _verdict(out):
 
 
 def _verdicts(tree):
-    """None when a tree shape lacks (P1), else its verdict on each sigma,
-    given as black-thorn coordinates in white-thorn order: ``_verdict``'s
-    result, None for an image, else the oriented cycle.  Root order puts
-    black 0 in slot 0 under (P1), so 0 is the root; the walk runs once
-    per distinct tuple of the black vertices the graph reads from sigma.
+    """None when a tree shape lacks (P1), else (key, verdict).  ``key``
+    reads off a sigma, given as a tuple of black-thorn coordinates in
+    white-thorn order, the tuple of coordinates the auxiliary graph takes
+    from it; ``verdict`` maps a key to ``_verdict``'s result, None for an
+    image, else the oriented cycle.  It walks the graph once per distinct
+    tuple of the black vertices in a key.  Root order puts black 0 in
+    slot 0 under (P1), so 0 is the root.
     """
     if not tree.white or tree.white[0] is None:
         return None
     out, thorn_left = _aux_parts(tree)
     ks = [k for _, k in thorn_left]
+    if len(ks) > 1:
+        key = itemgetter(*ks)
+    else:  # of one index itemgetter gives the item, of a slice a tuple
+        key = itemgetter(slice(ks[0], ks[0] + 1) if ks else slice(0))
     known = {}
 
-    def verdict(sigma):
-        targets = tuple([sigma[k][0] for k in ks])
-        if targets not in known:
-            for (b, _), v in zip(thorn_left, targets):
+    def verdict(targets):
+        blacks = tuple([v for v, _ in targets])
+        if blacks not in known:
+            for (b, _), v in zip(thorn_left, blacks):
                 out[b] = v
-            known[targets] = _verdict(out)
-        return known[targets]
+            known[blacks] = _verdict(out)
+        return known[blacks]
 
-    return verdict
+    return key, verdict
 
 
 class Classification(Value):
@@ -343,10 +350,11 @@ class Classification(Value):
 
 def classify(t):
     """Image iff (P1) holds and the auxiliary graph is a rooted tree."""
-    verdict = _verdicts(t.tree)
-    if verdict is None:
+    verdicts = _verdicts(t.tree)
+    if verdicts is None:
         return Classification("no_p1")
-    cycle = verdict([bt for _, bt in t.sigma])
+    key, verdict = verdicts
+    cycle = verdict(key(tuple([bt for _, bt in t.sigma])))
     if cycle is None:
         return Classification("image")
     return Classification("cycle", cycle)
@@ -452,12 +460,17 @@ def proportion_stats(lam, budget=DEFAULT_BUDGET):
     _check(lam.size, budget, "permuted-tree", long_cycle=False)
     total = with_p1 = image = 0
     for tree in all_star_thorn_trees(lam):
-        sigmas = list(iperm(tree.black_thorn_coords()))
-        total += len(sigmas)
-        verdict = _verdicts(tree)
-        if verdict is not None:
-            with_p1 += len(sigmas)
-            image += list(map(verdict, sigmas)).count(None)
+        sigmas = iperm(tree.black_thorn_coords())
+        verdicts = _verdicts(tree)
+        if verdicts is None:
+            total += len(list(sigmas))
+            continue
+        key, verdict = verdicts
+        keys = Counter(map(key, sigmas))
+        count = sum(keys.values())
+        total += count
+        with_p1 += count
+        image += sum(c for k, c in keys.items() if verdict(k) is None)
     return (Fraction(image, total), Fraction(image, with_p1),
             Fraction(with_p1, total))
 
@@ -474,26 +487,25 @@ def roundtrip_stats(lam, budget=DEFAULT_BUDGET):
       agree     whether classify calls exactly the recoverable trees
                 images.
     Maps, images and each tree shape's sigmas are all plain tuples
-    (``_star_maps``, ``_psi_kernel``): the white labels are walked once
-    per beta, the inverse's label walk runs per sigma, and the shape's
-    verdicts give classify's.  A map object is built only for a failure.
+    (``_star_maps``, ``_psi_kernel``): each beta's cycles and white labels
+    come from the star index, walked once per n, the inverse's label walk
+    runs per sigma, and the shape's verdicts give classify's.  A map
+    object is built only for a failure.
     """
     preimage = {}
-    for beta, maps in groupby(_star_maps(lam, budget), itemgetter(0)):
-        label_at = _complement_orbit(beta)
-        for _, blocks, grouped in maps:
-            white, blacks, _, sigma = _psi_kernel(label_at, grouped)
-            preimage[white, blacks, sigma] = beta, blocks
+    for beta, blocks, grouped, label_at in _star_maps(lam, budget):
+        white, blacks, _, sigma = _psi_kernel(label_at, grouped)
+        preimage[white, blacks, sigma] = beta, blocks
     images = len(preimage)
     failures = []
     agree = True
     for tree in all_star_thorn_trees(lam):
         shape = _shape(tree)
         wslots = tree.white_thorn_slots()
-        verdict = _verdicts(tree)
+        key, verdict = _verdicts(tree) or (None, None)
         for sigma in iperm(tree.black_thorn_coords()):
             label, _, collision = _label_walk(shape, zip(wslots, sigma))
-            is_image = verdict is not None and verdict(sigma) is None
+            is_image = verdict is not None and verdict(key(sigma)) is None
             agree &= is_image == (collision is None)
             m = preimage.pop((tree.white, tree.blacks, sigma), None)
             if m is None:

@@ -122,7 +122,7 @@ def table_for(family, n, budget=None):
         provenance = "oracle"
         count = {"A": lambda lam: oracle.enumerate_A(lam, budget),
                  "B": lambda lam: oracle.enumerate_B(lam, budget),
-                 "C": lambda lam: oracle.enumerate_CD(lam, budget)[0],
+                 "C": lambda lam: oracle.enumerate_C(lam, budget),
                  "D": lambda lam: oracle.enumerate_CD(lam, budget)[1],
                  "ST": lambda lam: oracle.enumerate_ST(lam, budget)}.get(family)
     if count is None:

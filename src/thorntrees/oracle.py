@@ -5,17 +5,19 @@ no formulas, no sampling.  Budgets guard against accidental huge sweeps
 and are enforced by refusal, never by truncation, before any sweep runs.
 
 Each search space is swept once per n, permutations as plain 1-based
-image tuples (as ``Permutation.images`` holds them), and only the
-per-type counters of a sweep are kept (memoised per n):
+image tuples (as ``Permutation.images`` holds them), and only what a
+sweep gives per type is kept (memoised per n):
 
   S_n sweep    every beta in S_n          -> A by type
   alpha walk   every long cycle alpha     -> B by type, B' by cycles
   pair sweep   every set partition of the -> C and D by the type of pi
                cycles, per cycle type
-  star maps    alpha walk x the set       -> the maps of one type
-               partitions of each beta's     (structures.all_star_maps),
-               cycles, as perm._cycles       a beta's maps together
-               orders them
+  star maps    alpha walk, each beta's    -> the betas with their cycles
+               cycles and white labels       and labels, grouped by cycle
+               walked once                   lengths, under every type a
+                                             set partition of the cycles
+                                             reaches (``_star_index``
+                                             in structures)
 
 ST has no sweep of its own: it counts the trees that
 ``structures.all_star_thorn_trees`` builds, each tree once, per type.
@@ -130,14 +132,14 @@ def _alpha_sweep(n):
     return B, Bp
 
 
-@cache
 def _cycle_groupings(mu):
     """The set partitions of the positions 0 .. len(mu) - 1 of a sequence
     mu of cycle lengths, in any order (Bell of len(mu) in all), by the
     type of their merged cycle lengths: each position joins a block opened
     before it or opens a new one, so each block is increasing and the
     blocks come by their first position.  The pair sweep passes sorted
-    types, the star maps the lengths in ``perm._cycles`` order."""
+    types, the star-map index the lengths in ``perm._cycles`` order; both
+    are cached per n, so this is not."""
     groupings, blocks, sums = {}, [], []
 
     def place(i):
@@ -167,8 +169,8 @@ def _pair_sweep(n):
     for each cycle type mu, every set partition of mu's cycles is one
     couple for each of the A[mu] permutations of type mu, of the type its
     merged cycle lengths give; B[mu] of those couples have a long
-    complement (n >= 1)."""
-    B = _alpha_sweep(n)[0]
+    complement (at n = 0 no long cycle exists, and D counts nothing)."""
+    B = _alpha_sweep(n)[0] if n else Counter()
     C, D = Counter(), Counter()
     for mu, a in _sn_sweep(n).items():
         b = B[mu]
@@ -196,6 +198,13 @@ def enumerate_Bprime(n, m, budget=DEFAULT_BUDGET):
     walking the long cycles."""
     _check(n, budget, "S_n")
     return _alpha_sweep(n)[1][m]
+
+
+def enumerate_C(lam, budget=DEFAULT_BUDGET):
+    """Count couples (beta, pi) with pi of type lam and beta in S_pi.  C
+    asks for no long cycle, so n = 0 counts its one empty couple."""
+    _check(lam.size, budget, "pair", long_cycle=False)
+    return _pair_sweep(lam.size)[0][lam]
 
 
 def enumerate_CD(lam, budget=DEFAULT_BUDGET):

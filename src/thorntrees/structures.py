@@ -12,6 +12,7 @@ clockwise reading used for cycle recovery is the reverse traversal.
 """
 
 import json
+from functools import cache
 from itertools import chain, combinations, count, permutations as iperm
 
 from .oracle import (DEFAULT_BUDGET, _alpha_betas, _check, _complement_orbit,
@@ -245,20 +246,41 @@ def all_permuted_trees(lam, budget=DEFAULT_BUDGET):
                            sigma=tuple(zip(wslots, image)))
 
 
+@cache
+def _star_index(n):
+    """The alpha walk of size n, once: each beta of ``oracle._alpha_betas``
+    with its cycles (``perm._cycles``, by decreasing maximum) and Psi's
+    white labels (``oracle._complement_orbit``), grouped by the lengths
+    of its cycles; each group is filed as (groupings, betas) under every
+    type lam that ``_cycle_groupings`` of its lengths reaches.  Needs
+    n >= 1."""
+    by_lengths = {}
+    for images in _alpha_betas(n):
+        cycles = _cycles(images)
+        by_lengths.setdefault(tuple(map(len, cycles)), []).append(
+            (images, cycles, _complement_orbit(images)))
+    index = {}
+    for lengths, betas in by_lengths.items():
+        for lam, groupings in _cycle_groupings(lengths).items():
+            index.setdefault(lam, []).append((groupings, betas))
+    return index
+
+
 def _star_maps(lam, budget=DEFAULT_BUDGET):
     """Every black-partitioned star map of type lam on plain tuples, as
     (beta's images, pi's blocks, the cycles by block as ``cycles_by_block``
-    has them): each beta of ``oracle._alpha_betas``, once with each set
-    partition of its cycles into blocks of type lam, its maps together.
-    Needs n >= 1."""
+    has them, Psi's white labels right to left): each beta of the star
+    index, once with each set partition of its cycles into blocks of type
+    lam, its maps together.  Needs n >= 1."""
     _check(lam.size, budget, "map")
-    for images in _alpha_betas(lam.size):
-        cycles = _cycles(images)
-        for grouping in _cycle_groupings(tuple(map(len, cycles))).get(lam, ()):
-            # a block's positions increase: its cycles by decreasing maximum
-            grouped = [[cycles[i] for i in b] for b in grouping]
-            blocks = sorted(tuple(sorted(chain(*g))) for g in grouped)
-            yield images, tuple(blocks), grouped
+    for groupings, betas in _star_index(lam.size).get(lam, ()):
+        for images, cycles, label_at in betas:
+            for grouping in groupings:
+                # a block's positions increase: its cycles by decreasing
+                # maximum
+                grouped = [[cycles[i] for i in b] for b in grouping]
+                blocks = sorted(tuple(sorted(chain(*g))) for g in grouped)
+                yield images, tuple(blocks), grouped, label_at
 
 
 def _star_map(images, blocks):
@@ -272,7 +294,7 @@ def _star_map(images, blocks):
 def all_star_maps(lam, budget=DEFAULT_BUDGET):
     """Every black-partitioned star map of type lam (alpha a long cycle),
     exactly once.  Needs n >= 1."""
-    return (_star_map(beta, blocks) for beta, blocks, _ in
+    return (_star_map(beta, blocks) for beta, blocks, _, _ in
             _star_maps(lam, budget))
 
 
@@ -298,16 +320,18 @@ def _black_lists(slots):
 
 
 def _pack(slots):
-    """The permuted tree of an edit form, through the validating
-    constructors: blacks numbered by root order, equal tokens paired."""
+    """The permuted tree of an edit form, unvalidated, since it is valid by
+    construction: blacks numbered by root order, equal tokens paired, and
+    sigma in slot order."""
     blacks = _black_lists(slots)
     at = {tok: (b, i) for b, thorns in enumerate(blacks)
           for i, tok in enumerate(thorns)}
     rank = count()
     white = tuple(next(rank) if type(x) is list else None for x in slots)
     sigma = tuple((s, at[x]) for s, x in enumerate(slots) if white[s] is None)
-    tree = StarThornTree(white, tuple(len(x) for x in blacks))
-    return PermutedThornTree(tree, sigma)
+    tree = _trusted(StarThornTree, white=white,
+                    blacks=tuple(len(x) for x in blacks))
+    return _trusted(PermutedThornTree, tree=tree, sigma=sigma)
 
 
 def lift(t, white_pos, black, black_pos):

@@ -655,25 +655,26 @@ def test_cycle_walks_refuse_a_non_permutation():
 
 @pytest.mark.parametrize("lam", partitions_of(6), ids=str)
 def test_roundtrip_stats_walks_each_beta_once(monkeypatch, lam):
-    """(n-1)! cycle walks, one per beta of the alpha walk, and one white
-    label walk per beta that has a map of type lam, not one per map."""
+    """Over every type of n = 6 together, whichever is swept first: one
+    star index build, and (n-1)! cycle walks and as many white label
+    walks, one per beta of the alpha walk, not one per type or per map."""
     from collections import Counter
 
     from thorntrees import bijection, structures
 
-    betas = {m.beta.images for m in all_star_maps(lam)}
     calls = Counter()
 
     def counted(name, walk):
-        def wrapper(images):
+        def wrapper(*args):
             calls[name] += 1
-            return walk(images)
+            return walk(*args)
         return wrapper
 
-    monkeypatch.setattr(structures, "_cycles",
-                        counted("cycles", structures._cycles))
-    monkeypatch.setattr(bijection, "_complement_orbit",
-                        counted("orbit", bijection._complement_orbit))
-    images, failures, agree = bijection.roundtrip_stats(lam)
-    assert (images, failures, agree) == (count_D(lam), [], True)
-    assert calls == {"cycles": 120, "orbit": len(betas)}
+    for name in ("_alpha_betas", "_cycles", "_complement_orbit"):
+        monkeypatch.setattr(structures, name,
+                            counted(name, getattr(structures, name)))
+    structures._star_index.cache_clear()
+    for mu in [lam, *partitions_of(6)]:
+        assert bijection.roundtrip_stats(mu) == (count_D(mu), [], True)
+    assert calls == {"_alpha_betas": 1, "_cycles": 120,
+                     "_complement_orbit": 120}

@@ -445,6 +445,19 @@ def test_verify_n_0_is_a_usage_error(capsys, suite):
     assert code == 2 and err.startswith("error: ")
 
 
+def test_table_C_0_oracle_counts_the_empty_couple(capsys):
+    # C asks for no long cycle, so its oracle answers at n = 0 as the
+    # formula does; D and B need the long cycle (1 2 .. n) and refuse
+    assert run(capsys, "table", "C", "0", "--oracle") == (
+        0, "partition,value,provenance\n(),1,oracle\n", "")
+    assert run(capsys, "table", "C", "0", "--oracle", "--format", "json") \
+        == (0, '{"family": "C", "n": 0, "provenance": "oracle", '
+               '"rows": [["()", "1"]]}\n', "")
+    for fam in ("D", "B"):
+        assert run(capsys, "table", fam, "0", "--oracle") == (
+            2, "", "error: the long cycle (1 2 .. n) needs n >= 1\n")
+
+
 def test_verify_refusal(capsys):
     code, out, _ = run(capsys, "verify", "proportions", "9")
     assert code == 2

@@ -119,7 +119,7 @@ def test_verify_identities_loads_no_tree_layer():
 
 def test_every_public_name_resolves():
     names = thorntrees.__all__
-    assert len(names) == len(set(names)) == 56  # the eager exports
+    assert len(names) == len(set(names)) == 57  # the eager exports
     for name in names:
         value = getattr(thorntrees, name)
         module = sys.modules[value.__module__]

@@ -185,12 +185,16 @@ def test_all_star_maps_are_stars(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_star_maps_group_cycles_as_cycles_by_block(n):
     # the tuple enumerator's blocks of cycles, read off the cycle walk's
-    # order, against the validated map object's own grouping
+    # order, and the white labels its index keeps per beta, against the
+    # validated map object's own grouping and Psi's labeled tree
+    from thorntrees.bijection import psi_label
+
     for lam in partitions_of(n):
-        for images, blocks, grouped in _star_maps(lam):
+        for images, blocks, grouped, label_at in _star_maps(lam):
             m = BlackPartitionedStarMap(Permutation(images),
                                         SetPartition(n, blocks))
             assert sorted(grouped) == sorted(m.cycles_by_block())
+            assert tuple(label_at) == psi_label(m).white_labels
 
 
 def test_generation_budget():
@@ -201,7 +205,8 @@ def test_generation_budget():
         list(all_star_maps(Partition([5, 4])))
 
 
-@pytest.mark.parametrize("n,count", [(1, 2), (2, 18), (3, 156), (4, 1460)])
+@pytest.mark.parametrize("n,count", [(1, 2), (2, 18), (3, 156), (4, 1460),
+                                     (5, 15030)])
 def test_lift_is_a_bijection_onto_marked_trees(n, count):
     # every (tree of size n, white position, black vertex, black position)
     # lifts to a distinct tree of size n + 1 with its new black thorn

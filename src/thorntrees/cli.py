@@ -33,12 +33,17 @@ STIRLING_LIMIT = 1000
 # 0.6-0.8 s and 44 MB, and each step up costs about 1.6x the time and
 # 1.45x the memory (measured table in CHANGES.md)
 IDENTITIES_LIMIT = 20
+# --budget bounds every oracle sweep; at 9 each has been measured (verify
+# bijection 9 takes 36 s and 113 MB), and n = 10 costs about ten times that
+BUDGET_LIMIT = 9
 
 
-def _check_limit(n, limit, name):
-    """Refuse an n beyond a command's limit, before any work."""
+def _check_limit(n, limit, name, what="n"):
+    """Refuse an n (or another argument, named ``what``) beyond a
+    command's limit, before any work."""
     if n > limit:
-        raise BudgetExceeded("n=%d exceeds %s limit %d" % (n, name, limit))
+        raise BudgetExceeded("%s=%d exceeds %s limit %d"
+                             % (what, n, name, limit))
 
 
 class RunReport:
@@ -82,6 +87,7 @@ def cmd_table(args):
     from . import counting
 
     fam, n = args.family, args.n
+    _check_limit(args.budget, BUDGET_LIMIT, "budget", "budget")
     if args.parity is not None and fam in ("Bprime", "stirling"):
         raise ValueError("--parity keeps partitions of a given length parity;"
                          " %s is indexed by m, not by partitions" % fam)
@@ -233,6 +239,7 @@ def cmd_verify(args):
         import_module(name, __package__)
     t0 = time.monotonic()
     try:
+        _check_limit(args.budget, BUDGET_LIMIT, "budget", "budget")
         suite(args.n, args.budget, report)
     except BudgetExceeded as exc:
         report.refused = str(exc)

@@ -6,7 +6,7 @@ and are enforced by refusal, never by truncation, before any sweep runs.
 
 Each search space is swept once per n, permutations as plain 1-based
 image tuples (as ``Permutation.images`` holds them), and only what a
-sweep gives per type is kept (memoised per n):
+sweep gives per type is kept (memoised for the last n swept):
 
   S_n sweep    every beta in S_n          -> A by type
   alpha walk   every long cycle alpha     -> B by type, B' by cycles
@@ -36,7 +36,7 @@ counted A[mu] times in C and B[mu] times in D.
 """
 
 from collections import Counter
-from functools import cache
+from functools import lru_cache
 from itertools import permutations
 
 DEFAULT_BUDGET = 8  # every sweep: S_n (8! = 40320), maps and permuted trees
@@ -101,7 +101,7 @@ def _complement_orbit(images):
         "images are not a permutation of {1..%d}" % len(images))
 
 
-@cache
+@lru_cache(maxsize=1)
 def _sn_sweep(n):
     """A by type, from one pass over S_n."""
     return Counter(map(_cycle_type, permutations(range(1, n + 1))))
@@ -122,7 +122,7 @@ def _alpha_betas(n):
         yield tuple(inv[2:])
 
 
-@cache
+@lru_cache(maxsize=1)
 def _alpha_sweep(n):
     """(B by type, B' by number of cycles) from the (n-1)! long cycles."""
     B = Counter(map(_cycle_type, _alpha_betas(n)))
@@ -139,7 +139,7 @@ def _cycle_groupings(mu):
     before it or opens a new one, so each block is increasing and the
     blocks come by their first position.  The pair sweep passes sorted
     types, the star-map index the lengths in ``perm._cycles`` order; both
-    are cached per n, so this is not."""
+    are cached for the last n, so this is not."""
     groupings, blocks, sums = {}, [], []
 
     def place(i):
@@ -163,7 +163,7 @@ def _cycle_groupings(mu):
     return groupings
 
 
-@cache
+@lru_cache(maxsize=1)
 def _pair_sweep(n):
     """(C, D) by the type of pi, read off the S_n sweep and the alpha walk:
     for each cycle type mu, every set partition of mu's cycles is one

@@ -141,18 +141,39 @@ class Partition(tuple):
 
 
 def partitions_of(n):
-    """All partitions of n in decreasing lexicographic order."""
+    """All partitions of n in decreasing lexicographic order.
+
+    Zoghbi and Stojmenovic's ZS1 (Int. J. Comput. Math., 1998): one working
+    list ``x`` holds the current partition, and ``h`` indexes its last part
+    above 1.  The next partition lowers that part to r = x[h] - 1 and
+    spreads the freed sum over parts r and one remainder.  Each list is
+    weakly decreasing with positive parts that sum to n, so it is copied
+    into a ``Partition`` without validation.
+    """
+    if type(n) is not int:
+        raise ValueError("n must be an integer, found %r" % (n,))
     if n < 0:
         raise ValueError("n must be >= 0")
-
-    def gen(remaining, cap, prefix):
-        if remaining == 0:
-            yield Partition(prefix)
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            yield from gen(remaining - first, first, prefix + [first])
-
-    yield from gen(n, n, [])
+    trusted = tuple.__new__
+    x = [n] if n else []
+    h = 0 if n > 1 else -1
+    yield trusted(Partition, x)
+    while h >= 0:
+        if x[h] == 2:
+            x[h] = 1
+            x.append(1)
+            h -= 1
+        else:
+            r = x[h] - 1
+            q, t = divmod(x[h] + len(x) - 1 - h, r)
+            del x[h:]
+            x += [r] * q
+            h += q - 1
+            if t:
+                x.append(t)
+                if t > 1:
+                    h += 1
+        yield trusted(Partition, x)
 
 
 class SetPartition(Value):

@@ -12,7 +12,7 @@ clockwise reading used for cycle recovery is the reverse traversal.
 """
 
 import json
-from functools import cache
+from functools import lru_cache
 from itertools import chain, combinations, count, permutations as iperm
 
 from .oracle import (DEFAULT_BUDGET, _alpha_betas, _check, _complement_orbit,
@@ -246,7 +246,7 @@ def all_permuted_trees(lam, budget=DEFAULT_BUDGET):
                            sigma=tuple(zip(wslots, image)))
 
 
-@cache
+@lru_cache(maxsize=1)
 def _star_index(n):
     """The alpha walk of size n, once: each beta of ``oracle._alpha_betas``
     with its cycles (``perm._cycles``, by decreasing maximum) and Psi's

@@ -148,6 +148,24 @@ def test_verify_zagier_30_stdout_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == ZAGIER_30_STDOUT_SHA256
 
 
+# sha256 of the stdout of the solver tables at n = 30, captured while
+# partitions_of was still a recursive generator of validated Partitions
+SOLVER_TABLE_30_STDOUT_SHA256 = {
+    ("B", "30"):
+        "4d37d14b39c18d6786afa0d1396c5a969697c50e61fff9cf1307dae4a44ba5dc",
+    ("Bprime", "30", "--format", "json"):
+        "2881aad873636e7fe12344e81ead1034decaf4a17137a543c64177967c8fbf86",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SOLVER_TABLE_30_STDOUT_SHA256))
+def test_solver_table_30_stdout_pinned(capsys, argv):
+    code, out, _ = run(capsys, "table", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == SOLVER_TABLE_30_STDOUT_SHA256[argv]
+
+
 def test_verify_bijection(capsys):
     code, out, _ = run(capsys, "verify", "bijection", "4")
     assert code == 0
@@ -456,6 +474,25 @@ def test_table_C_0_oracle_counts_the_empty_couple(capsys):
     for fam in ("D", "B"):
         assert run(capsys, "table", fam, "0", "--oracle") == (
             2, "", "error: the long cycle (1 2 .. n) needs n >= 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("B", "5"), ("A", "3", "--oracle"), ("D", "0", "--oracle"),
+    ("Bprime", "2", "--format", "json"), ("stirling", "2")])
+def test_table_budget_limit_refusals(capsys, argv):
+    # every table refuses a budget past the limit before any work, as it
+    # refuses an n past its own limit
+    assert run(capsys, "table", *argv, "--budget", "10") == (
+        2, "", "refused: budget=10 exceeds budget limit 9\n")
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_budget_limit_refusals(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "3", "--budget", "12")
+    assert code == 2 and json.loads(out) == {
+        "command": "verify %s 3" % suite, "items": [],
+        "reason": "budget=12 exceeds budget limit 9", "status": "refused"}
+    assert err.startswith("wall time:") and err.count("\n") == 1
 
 
 def test_verify_refusal(capsys):
@@ -887,7 +924,7 @@ def table_and_verify_argvs(draw):
     else:
         argv = ["verify", draw(st.sampled_from(sorted(SUITES))), str(n)]
     if draw(st.booleans()):
-        argv += ["--budget", str(draw(st.integers(-2, 8)))]
+        argv += ["--budget", str(draw(st.integers(-2, 12)))]
     return argv
 
 

@@ -220,6 +220,26 @@ def test_budget_checked_before_cache():
         enumerate_Bprime(7, 1, budget=6)
 
 
+def test_each_sweep_cache_keeps_one_n():
+    # every CLI command sweeps one n; a library caller that sweeps n = 7
+    # and then n = 6 keeps only the n = 6 sweeps
+    from thorntrees import oracle, structures
+
+    caches = (oracle._sn_sweep, oracle._alpha_sweep, oracle._pair_sweep,
+              structures._star_index)
+    for n in (7, 6):
+        for lam in partitions_of(n):
+            enumerate_CD(lam)
+            next(all_star_maps(lam), None)
+    for sweep in caches:
+        assert sweep.cache_info().currsize == 1, sweep.__name__
+    # and the one kept is n = 6: sweeping it again rebuilds nothing
+    misses = [sweep.cache_info().misses for sweep in caches]
+    enumerate_CD(Partition([6]))
+    next(all_star_maps(Partition([6])))
+    assert [sweep.cache_info().misses for sweep in caches] == misses
+
+
 def test_long_cycle_needs_n_at_least_1():
     assert enumerate_A(Partition([])) == 1
     assert enumerate_ST(Partition([])) == 1

@@ -20,6 +20,71 @@ def test_partitions_of_zero():
     assert list(partitions_of(0)) == [Partition([])]
 
 
+def recursive_partitions(n):
+    """Reference: each partition of n as a tuple, largest first part first,
+    then the partitions of the rest with parts no larger, recursively."""
+    def gen(remaining, cap, prefix):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for first in range(min(cap, remaining), 0, -1):
+            yield from gen(remaining - first, first, prefix + [first])
+
+    return gen(n, n, [])
+
+
+def euler_partition_counts(n):
+    """p(0..n) from Euler's pentagonal-number recurrence: p(k) is the sum
+    over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2))."""
+    p = [1] + [0] * n
+    for k in range(1, n + 1):
+        j = 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= k:
+                    p[k] += sign * p[k - g]
+            j += 1
+    return p
+
+
+def test_partitions_of_matches_the_recursive_reference():
+    for n in range(31):
+        assert [tuple(p) for p in partitions_of(n)] \
+            == list(recursive_partitions(n)), n
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_partitions_of_are_valid_by_construction(n):
+    # built without validation: each is a Partition equal to, and hashing
+    # like, the one the validating constructor makes from its parts
+    for p in partitions_of(n):
+        rebuilt = Partition(tuple(p))
+        assert type(p) is Partition
+        assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+def test_partitions_of_yields_independent_tuples():
+    # the generator reuses one working list: a list of what it yielded
+    # must still hold every partition, each its own object
+    ps = list(partitions_of(12))
+    assert [tuple(p) for p in ps] == list(recursive_partitions(12))
+    assert len({id(p) for p in ps}) == len(ps) == len(set(ps))
+
+
+def test_partitions_of_counts_match_euler():
+    counts = euler_partition_counts(50)
+    assert counts[40] == 37338 and counts[50] == 204226
+    for n in (*range(21), 40, 50):
+        assert sum(1 for _ in partitions_of(n)) == counts[n], n
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, True, "3"])
+def test_partitions_of_refuses_bad_n(bad):
+    with pytest.raises(ValueError):
+        next(partitions_of(bad))
+
+
 def test_up_down_worked_examples():
     assert Partition([4, 4, 3, 1, 1]).down(4) == Partition([4, 3, 3, 1, 1])
     assert Partition([4, 3, 3, 2, 2]).up(2) == Partition([4, 3, 3, 3, 2])

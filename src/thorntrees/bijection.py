@@ -83,11 +83,7 @@ class InverseOutcome(Value):
 
     def __init__(self, success, map=None, labeled=None, step=None,
                  certificate=None):
-        object.__setattr__(self, "success", success)
-        object.__setattr__(self, "map", map)
-        object.__setattr__(self, "labeled", labeled)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "certificate", certificate)
+        super().__init__(success, map, labeled, step, certificate)
 
     def to_json_obj(self):
         if self.success:
@@ -230,9 +226,7 @@ class AuxGraph(Value):
     __slots__ = _fields = ("p", "root", "out")
 
     def __init__(self, p, root, out):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "out", out)
+        super().__init__(p, root, out)
 
 
 def aux_graph(t):
@@ -338,8 +332,7 @@ class Classification(Value):
     __slots__ = _fields = ("kind", "cycle")
 
     def __init__(self, kind, cycle=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "cycle", cycle)
+        super().__init__(kind, cycle)
 
     def to_json_obj(self):
         d = {"kind": self.kind}

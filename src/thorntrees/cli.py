@@ -302,8 +302,7 @@ def cmd_transform(args):
                             separators=(",", ":")) + "\n"
     elif args.direction == "contract":
         if args.mark is None:
-            print("contract requires --mark BLACK_VERTEX", file=sys.stderr)
-            return 2
+            raise ValueError("contract requires --mark BLACK_VERTEX")
         t2, elem = bijection.contract(obj, args.mark)
         result = json.dumps(
             {"marked_element": list(elem),

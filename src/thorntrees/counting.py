@@ -83,10 +83,7 @@ class CountTable(Value):
     __slots__ = _fields = ("n", "family", "entries", "provenance")
 
     def __init__(self, n, family, entries, provenance="formula"):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "provenance", provenance)
+        super().__init__(n, family, entries, provenance)
 
     def __getitem__(self, lam):
         return self.entries[lam]

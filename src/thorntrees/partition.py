@@ -11,15 +11,22 @@ from operator import attrgetter, lt
 
 
 class Value:
-    """Base of the immutable value classes: equality (same class, same
-    fields), hashing, repr and pickling are derived from ``_fields``.
+    """Base of the immutable value classes: construction, equality (same
+    class, same fields), hashing, repr and pickling are derived from
+    ``_fields``.
 
-    A subclass lists its fields in ``_fields`` (and in ``__slots__``) and
-    sets each once, in ``__init__``, with ``object.__setattr__``.
+    A subclass lists its fields in ``_fields`` (and in ``__slots__``); its
+    constructor validates and then stores them through ``Value.__init__``.
     """
 
     __slots__ = ()
     _fields = ()
+
+    def __init__(self, *values):
+        """Store ``values`` as the ``_fields``, one for one: the only code
+        that sets an attribute of a value."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -46,15 +53,18 @@ class Value:
         return self._key
 
     def __setstate__(self, values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        Value.__init__(self, *values)
 
 
 def _trusted(cls, **fields):
-    """An instance of ``cls`` built valid by construction: no validation."""
+    """An instance of ``cls`` built valid by construction: no validation.
+    TypeError unless ``fields`` names each of ``cls._fields``, and no
+    other."""
+    if fields.keys() != set(cls._fields):
+        raise TypeError("%s takes the fields %s, got %s" % (
+            cls.__name__, ", ".join(cls._fields), ", ".join(fields)))
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    Value.__init__(obj, *map(fields.__getitem__, cls._fields))
     return obj
 
 
@@ -193,8 +203,7 @@ class SetPartition(Value):
         flat = [x for b in blocks for x in b]
         if sorted(flat) != list(range(1, n + 1)):
             raise ValueError("blocks must partition {1..%d}: %r" % (n, blocks))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
+        super().__init__(n, blocks)
 
     def type_of(self):
         return Partition(sorted((len(b) for b in self.blocks), reverse=True))

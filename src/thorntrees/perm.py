@@ -19,10 +19,12 @@ class Permutation(Value):
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError("images is not a bijection of {1..%d}: %r" % (n, images))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "images", images)
+        super().__init__(n, images)
 
     def __call__(self, k):
+        if type(k) is not int or not 1 <= k <= self.n:
+            raise ValueError("k must be an integer in 1..%d, got %r"
+                             % (self.n, k))
         return self.images[k - 1]
 
     def __repr__(self):

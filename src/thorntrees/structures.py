@@ -48,8 +48,7 @@ class StarThornTree(Value):
                              % (sum(1 + t for t in blacks), n))
         if any(t < 0 for t in blacks):
             raise ValueError("negative thorn count")
-        object.__setattr__(self, "white", white)
-        object.__setattr__(self, "blacks", blacks)
+        super().__init__(white, blacks)
 
     @property
     def n(self):
@@ -60,11 +59,12 @@ class StarThornTree(Value):
         return len(self.blacks)
 
     def degree(self, b):
+        if type(b) is not int or not 0 <= b < self.p:
+            raise ValueError("no black vertex %r" % (b,))
         return 1 + self.blacks[b]
 
     def type_of(self):
-        return Partition(sorted((self.degree(b) for b in range(self.p)),
-                                reverse=True))
+        return Partition(sorted((1 + t for t in self.blacks), reverse=True))
 
     def edge_slot(self, b):
         return self.white.index(b)
@@ -96,8 +96,7 @@ class PermutedThornTree(Value):
         targets = sorted(bt for _, bt in sigma)
         if targets != sorted(tree.black_thorn_coords()):
             raise ValueError("sigma range must be the black thorn coordinates")
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "sigma", sigma)
+        super().__init__(tree, sigma)
 
     @property
     def n(self):
@@ -119,8 +118,7 @@ class BlackPartitionedStarMap(Value):
     def __init__(self, beta, pi):
         if beta.n != pi.n:
             raise ValueError("size mismatch between beta and pi")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "pi", pi)
+        super().__init__(beta, pi)
         self.cycles_by_block()
 
     @property
@@ -185,9 +183,7 @@ class LabeledThornTree(Value):
                 raise ValueError("black label count mismatch at vertex %d" % b)
         if n < 1 or white_labels[n - 1] != 1:
             raise ValueError("rightmost white slot must carry label 1")
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "white_labels", white_labels)
-        object.__setattr__(self, "black_labels", black_labels)
+        super().__init__(tree, white_labels, black_labels)
 
     def to_permuted(self):
         """Forget label values; sigma pairs equal labels."""

@@ -9,7 +9,7 @@ of lam, filling each exactly (Macdonald, Symmetric Functions, I.6);
 the two directions over those rows.  ``evaluate`` checks both.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations as iperm
 from math import factorial
 
@@ -49,9 +49,7 @@ class SymPoly(Value):
             c = _exact(c)
             if c:
                 clean[lam] = c
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coeffs", clean)
+        super().__init__(degree, basis, clean)
 
     def __getitem__(self, lam):
         return self.coeffs.get(lam, 0)
@@ -231,9 +229,10 @@ def _aut_weighted(n, count):
                             for lam in _partitions(n)})
 
 
-@cache
+@lru_cache(maxsize=1)
 def _B(n):
-    """solve_B(n), solved once for verify_D2B and verify_reduction."""
+    """solve_B(n), solved once for verify_D2B and verify_reduction (the
+    last n only)."""
     return solve_B(n)
 
 

@@ -590,9 +590,11 @@ def test_transform_contract_stdout_pinned(tmp_path, capsys, name, mark):
 
 
 def test_transform_contract_requires_mark(capsys):
-    code, _, err = run(capsys, "transform", "contract",
-                       str(FIXTURES / "ex1.json"))
-    assert code == 2 and "--mark" in err
+    code, out, err = run(capsys, "transform", "contract",
+                         str(FIXTURES / "ex1.json"))
+    # refused through main's error path, like every other bad input
+    assert (code, out, err) == \
+        (2, "", "error: contract requires --mark BLACK_VERTEX\n")
 
 
 def test_export_dot(tmp_path, capsys):

@@ -179,6 +179,30 @@ def test_value_equality_needs_the_same_class():
     assert Permutation([2, 1]) != SetPartition(2, [[1, 2]])
 
 
+def test_trusted_takes_exactly_the_fields():
+    from thorntrees.partition import _trusted
+
+    assert _trusted(Classification, kind="image", cycle=None) == \
+        Classification("image")
+    with pytest.raises(TypeError, match="takes the fields kind, cycle"):
+        _trusted(Classification, kind="image")
+    with pytest.raises(TypeError, match="takes the fields kind, cycle"):
+        _trusted(Classification, kind="image", cycle=None, extra=1)
+
+
+def test_value_init_stores_one_value_per_field():
+    from thorntrees.partition import Value
+
+    class Pair(Value):
+        __slots__ = _fields = ("a", "b")
+
+    pair = Pair(1, 2)
+    assert (pair.a, pair.b) == (1, 2) and pair == Pair(1, 2)
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):  # zip(strict=True)
+            Pair(*values)
+
+
 def test_value_reprs():
     tree = StarThornTree((0, None), (1,))
     t = PermutedThornTree(tree, ((1, (0, 0)),))

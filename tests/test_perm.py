@@ -42,6 +42,14 @@ def test_convention_right_factor_acts_first():
     assert alpha(beta(1)) == 2  # (alpha*beta)(1) = 2
 
 
+def test_call_refuses_an_index_outside_1_to_n():
+    f = Permutation((2, 3, 1))
+    assert [f(k) for k in (1, 2, 3)] == [2, 3, 1]
+    for k in (0, -1, 4, 1.0, True, "1"):
+        with pytest.raises(ValueError, match=r"k must be an integer in 1\.\.3"):
+            f(k)
+
+
 def test_inverse():
     assert Permutation((1, 2, 3, 4)).inverse() == Permutation((1, 2, 3, 4))
     # (1 2 3)^-1 = (1 3 2)

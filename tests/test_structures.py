@@ -237,6 +237,14 @@ def test_lift_drop_roundtrip():
                 assert drop(lifted, b, bp) == t
 
 
+def test_degree_refuses_an_index_outside_0_to_p_minus_1():
+    tree = StarThornTree((0, None, 1), (1, 0))
+    assert [tree.degree(b) for b in (0, 1)] == [2, 1]
+    for b in (-1, 2, 0.0, False, None):
+        with pytest.raises(ValueError, match="no black vertex"):
+            tree.degree(b)
+
+
 def test_drop_degree_guard():
     tree = StarThornTree((0, None, 1), (0, 1))
     t = PermutedThornTree(tree, ((1, (1, 0)),))

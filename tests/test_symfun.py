@@ -193,6 +193,19 @@ def test_identity_reduction(n):
     assert rep["ok"], rep["diffs"]
 
 
+def test_B_cache_keeps_one_n():
+    # verify_D2B and verify_reduction share one solve of n; a library
+    # caller that verifies n = 5 and then n = 6 keeps only the n = 6 table
+    from thorntrees import symfun
+
+    for n in (5, 6):
+        verify_D2B(n)
+        misses = symfun._B.cache_info().misses
+        verify_reduction(n)
+        assert symfun._B.cache_info().misses == misses
+    assert symfun._B.cache_info().currsize == 1
+
+
 def test_report_shape():
     rep = verify_C2A(3)
     assert set(rep) == {"check", "n", "ok", "diffs"}

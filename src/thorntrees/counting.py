@@ -9,7 +9,7 @@ Families over partitions of n:
 All arithmetic is exact; any non-integral intermediate raises.
 """
 
-from functools import cache
+from functools import lru_cache
 from math import comb, factorial
 
 from . import oracle
@@ -147,7 +147,7 @@ def solve_B(n):
         raise ValueError("n must be >= 1")
     B = {}
     for lam in partitions_of(n):
-        if lam.length % 2 != n % 2:
+        if len(lam) % 2 != n % 2:
             B[lam] = 0
             continue
         mu = lam.up(lam[0])
@@ -159,10 +159,10 @@ def solve_B(n):
             lamp = mu.down(j)
             i = j - 1
             if lamp == lam:
-                coeff = i * lam.multiplicity(i)
+                coeff = i * lam.count(i)
             else:
-                known += i * lamp.multiplicity(i) * B[lamp]
-        pivot = lam[0] * lam.multiplicity(lam[0])
+                known += i * lamp.count(i) * B[lamp]
+        pivot = lam[0] * lam.count(lam[0])
         if coeff != pivot:
             raise InexactDivisionError(
                 "pivot of B(%r) is %r, expected %d" % (lam, coeff, pivot))
@@ -180,12 +180,13 @@ def count_Bprime(n, m):
     return _bprime_row(n)[m]
 
 
-@cache
+@lru_cache(maxsize=1)
 def _bprime_row(n):
-    """(0, B'(n,1), ..., B'(n,n)) from one solve of B(n), cached per n."""
+    """(0, B'(n,1), ..., B'(n,n)) from one solve of B(n); the last n is
+    kept, as every command reads one n."""
     row = [0] * (n + 1)
     for lam, v in solve_B(n).entries.items():
-        row[lam.length] += v
+        row[len(lam)] += v
     return tuple(row)
 
 

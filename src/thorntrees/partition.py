@@ -30,7 +30,11 @@ class Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._key = property(attrgetter(*cls._fields))
+        # the fields as a tuple (attrgetter returns a bare value for one)
+        names = cls._fields
+        key = attrgetter(*names) if len(names) > 1 else (
+            lambda self: tuple(getattr(self, name) for name in names))
+        cls._key = property(key)
 
     def _immutable(self, *args):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -68,10 +72,13 @@ def _trusted(cls, **fields):
     return obj
 
 
+_INT = frozenset((int,))
+
+
 def _require_ints(values, what):
     """Refuse a bool, a float or a string among ``values`` rather than
     coerce it: the public constructors' check on their elements."""
-    if set(map(type, values)) - {int}:
+    if not _INT.issuperset(map(type, values)):
         bad = next(x for x in values if type(x) is not int)
         raise ValueError("%s must be integers, found %r" % (what, bad))
 
@@ -83,10 +90,16 @@ class Partition(tuple):
     __slots__ = ()
 
     def __init__(self, parts):
-        _require_ints(self, "parts")
-        if min(self, default=1) < 1:
-            raise ValueError("parts must be positive: %r" % (tuple(self),))
-        if any(map(lt, self, self[1:])):
+        # the checks in order (integers, positive, weakly decreasing), in
+        # one frame: once the order holds, the last part is the least, and
+        # min runs only to pick the message of a refusal
+        if not self:
+            return
+        if not _INT.issuperset(map(type, self)):
+            _require_ints(self, "parts")
+        if self[-1] < 1 or any(map(lt, self, self[1:])):
+            if min(self) < 1:
+                raise ValueError("parts must be positive: %r" % (tuple(self),))
             raise ValueError("parts must be weakly decreasing: %r"
                              % (tuple(self),))
 
@@ -143,8 +156,9 @@ class Partition(tuple):
         """Exponential notation like '1^2 3^1 4^2' (empty partition: '()')."""
         if not self:
             return "()"
-        mult = self.multiplicities()
-        return " ".join("%d^%d" % (i, mult[i]) for i in sorted(mult))
+        # the dict is in order of decreasing part: read it backwards
+        return " ".join(["%d^%d" % item
+                         for item in reversed(self.multiplicities().items())])
 
     def __repr__(self):
         return "Partition%r" % (tuple(self),)

@@ -122,6 +122,18 @@ def test_count_Bprime_solves_B_once_per_n(monkeypatch):
     assert counting._bprime_row(9) == (0, *row)
 
 
+def test_bprime_row_keeps_one_n():
+    # every CLI command reads one n; a library caller that reads the rows
+    # of n = 9 and then n = 8 keeps only the n = 8 row
+    for n in (9, 8):
+        counting._bprime_row(n)
+    assert counting._bprime_row.cache_info().currsize == 1
+    # and the one kept is n = 8: reading it again is a hit
+    hits = counting._bprime_row.cache_info().hits
+    assert count_Bprime(8, 2) == counting._bprime_row(8)[2]
+    assert counting._bprime_row.cache_info().hits == hits + 2
+
+
 def test_verify_zagier():
     for n in range(1, 9):
         assert all(row["ok"] for row in verify_zagier(n))

@@ -22,7 +22,7 @@ from thorntrees.bijection import (
     psi_label,
 )
 from thorntrees.counting import CountTable, solve_B
-from thorntrees.partition import SetPartition
+from thorntrees.partition import SetPartition, Value
 from thorntrees.perm import Permutation
 from thorntrees.structures import (
     BlackPartitionedStarMap,
@@ -223,3 +223,18 @@ def test_value_reprs():
     lt = LabeledThornTree(StarThornTree((0,), (0,)), (1,), ((),))
     assert repr(lt) == ("LabeledThornTree(tree=StarThornTree(white=(0,), "
                         "blacks=(0,)), white_labels=(1,), black_labels=((),))")
+
+
+class _One(Value):  # module-level, so pickle finds it
+    __slots__ = _fields = ("a",)
+
+
+def test_one_field_value_copies_and_pickles():
+    for value in (5, (1, 2), None):
+        one = _One(value)
+        assert one._key == (value,)
+        for twin in (copy.copy(one), copy.deepcopy(one),
+                     pickle.loads(pickle.dumps(one))):
+            assert type(twin) is _One and twin.a == value
+            assert twin == one and hash(twin) == hash(one)
+    assert _One(5) != _One(6) and _One((1, 2)) != _One(1)

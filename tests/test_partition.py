@@ -215,6 +215,18 @@ def test_partition_validation_messages():
     with pytest.raises(ValueError) as exc:
         Partition([1, 2, 2])
     assert str(exc.value) == "parts must be weakly decreasing: (1, 2, 2)"
+    # an input that fails two checks names the first: integers, then
+    # positive, then weakly decreasing
+    for parts in ((0, 1), (1, 0, 2)):
+        with pytest.raises(ValueError) as exc:
+            Partition(parts)
+        assert str(exc.value) == "parts must be positive: %r" % (parts,)
+    for parts in ((2.0, 1), (True,), ("2",)):
+        with pytest.raises(ValueError) as exc:
+            Partition(parts)
+        assert str(exc.value) == \
+            "parts must be integers, found %r" % (parts[0],)
+    assert Partition(()) == () and Partition(()).size == 0
 
 
 def test_partition_is_its_tuple_of_parts():
@@ -241,3 +253,14 @@ def test_partition_is_immutable():
 def test_exponential_notation():
     assert Partition([4, 4, 3, 1, 1]).exponential() == "1^2 3^1 4^2"
     assert Partition([]).exponential() == "()"
+
+
+def test_exponential_reads_back_for_every_partition_up_to_12():
+    for n in range(1, 13):
+        for lam in partitions_of(n):
+            terms = [tuple(map(int, term.split("^")))
+                     for term in lam.exponential().split(" ")]
+            parts = [i for i, _ in terms]
+            assert parts == sorted(set(parts)), lam  # increasing, distinct
+            assert sorted((i for i, m in terms for _ in range(m)),
+                          reverse=True) == list(lam)

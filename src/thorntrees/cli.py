@@ -120,7 +120,7 @@ def cmd_table(args):
     if args.parity is not None:
         table = counting.CountTable(table.n, table.family, {
             lam: v for lam, v in table.entries.items()
-            if lam.length % 2 == args.parity % 2}, table.provenance)
+            if len(lam) % 2 == args.parity % 2}, table.provenance)
     if args.format == "json":
         import json
 
@@ -142,7 +142,7 @@ def _table_Bprime(args):
         provenance = "oracle"
     else:
         _check_limit(n, SOLVER_LIMIT, "solver")
-        values = counting._bprime_row(n)[1:]
+        values = [counting.count_Bprime(n, m) for m in range(1, n + 1)]
         provenance = "solver"
     if args.format == "json":
         import json
@@ -179,7 +179,7 @@ def _suite_reformulation(n, budget, report):
     from fractions import Fraction
 
     for lam in partitions_of(n):
-        p = lam.length
+        p = len(lam)
         got = oracle.reformulation_probability(lam, budget)
         report.add("probability %s" % lam.exponential(),
                    Fraction(1, n - p + 1), got, "oracle")
@@ -214,7 +214,7 @@ def _suite_proportions(n, budget, report):
     from . import bijection
 
     for lam in partitions_of(n):
-        p = lam.length
+        p = len(lam)
         P, Pp, P1 = bijection.proportion_stats(lam, budget)
         report.add("P %s" % lam.exponential(), Fraction(1, n - p + 1), P,
                    "oracle")

@@ -62,18 +62,18 @@ def count_ST(mu):
     binomial(N,p) * p! / prod_i m_i(mu)! -- validated against the
     brute-force enumerator for every mu of size <= 8 (see tests).
     """
-    n, p = mu.size, mu.length
+    n, p = mu.size, len(mu)
     return _exact_div(comb(n, p) * factorial(p), mu.aut())
 
 
 def count_C(mu):
     """(N-p)! * ST(mu): black-partitioned maps of type mu."""
-    return factorial(mu.size - mu.length) * count_ST(mu)
+    return factorial(mu.size - len(mu)) * count_ST(mu)
 
 
 def count_D(lam):
     """C(lam)/(N-p+1): black-partitioned star maps of type lam."""
-    return _exact_div(count_C(lam), lam.size - lam.length + 1)
+    return _exact_div(count_C(lam), lam.size - len(lam) + 1)
 
 
 class CountTable(Value):
@@ -221,7 +221,7 @@ def check_lift_recurrence(lam, i):
     if i not in lam:
         raise ValueError("no part %d in %r" % (i, lam))
     mu = lam.up(i)
-    n, p = lam.size, lam.length
-    lhs = count_ST(mu) * factorial(n + 1 - p) * i * mu.multiplicity(i + 1)
-    rhs = (n + 1) * i * lam.multiplicity(i) * count_ST(lam) * factorial(n - p)
+    n, p = lam.size, len(lam)
+    lhs = count_ST(mu) * factorial(n + 1 - p) * i * mu.count(i + 1)
+    rhs = (n + 1) * i * lam.count(i) * count_ST(lam) * factorial(n - p)
     return lhs == rhs

@@ -112,14 +112,6 @@ class Partition(tuple):
     def size(self):
         return sum(self)
 
-    @property
-    def length(self):
-        return len(self)
-
-    def multiplicity(self, i):
-        """m_i: the number of parts equal to i."""
-        return self.count(i)
-
     def multiplicities(self):
         out = {}
         for p in self:

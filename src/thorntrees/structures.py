@@ -223,7 +223,7 @@ def all_star_thorn_trees(mu):
     degree multiset to the black vertices in root order.  Each tree is
     valid by construction and built without validation.
     """
-    n, p = mu.size, mu.length
+    n, p = mu.size, len(mu)
     thorn_orders = list(_orders(tuple(d - 1 for d in reversed(mu))))
     for positions in combinations(range(n), p):
         black_at = {s: b for b, s in enumerate(positions)}

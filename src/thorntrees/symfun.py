@@ -5,8 +5,11 @@ to exact coefficients: ``int``, or ``Fraction`` only where a coefficient
 is really non-integral, so ``fractions`` is imported only then.  The m_lam
 coefficient of p_nu counts the ways to drop the parts of nu into the parts
 of lam, filling each exactly (Macdonald, Symmetric Functions, I.6);
-``_row`` lists these counts for one nu, and ``p_to_m`` and ``m_to_p`` are
-the two directions over those rows.  ``evaluate`` checks both.
+``_row`` lists these counts for one nu, keyed by ``Partition`` as every
+polynomial is, and ``p_to_m`` and ``m_to_p`` are the two directions over
+those rows.  ``evaluate`` checks both.  The layer keeps no list of
+partitions of its own: it walks ``partitions_of`` where it needs every
+partition of a degree.
 """
 
 from functools import cache, lru_cache
@@ -72,37 +75,26 @@ class SymPoly(Value):
 
 
 @cache
-def _partitions(d):
-    """The partitions of d in increasing lexicographic order, built once
-    per degree: the keys of every polynomial the kernels return."""
-    return tuple(reversed(tuple(partitions_of(d))))
-
-
-def _poly(d, basis, coeffs):
-    """A SymPoly from a kernel's dict on plain tuples or Partitions: its
-    keys become the degree's own Partitions, in increasing order."""
-    return SymPoly(d, basis, {lam: coeffs[lam] for lam in _partitions(d)
-                              if lam in coeffs})
-
-
-@cache
 def _row(nu):
-    """The m-expansion of p_nu as a dict {lam: [m_lam] p_nu} on plain tuples.
+    """The m-expansion of p_nu as a dict {lam: [m_lam] p_nu}.  Each lam is
+    a Partition built without validation: it is sorted by construction.
 
     p_nu = p_k * p_rest with k = nu[0].  Multiplying m_mu by p_k adds k to
     one part of a monomial: to a part of value v of mu, or as a new part
     (v = 0).  The m_lam it gives, lam holding v + k in place of v, has
     coefficient m_{v+k}(lam), the number of parts of lam that can have
     received k.  Diagonal: [m_nu] p_nu = Aut(nu)."""
+    trusted = tuple.__new__
     if not nu:
-        return {(): 1}
+        return {trusted(Partition, ()): 1}
     k = nu[0]
     out = {}
     for mu, c in _row(nu[1:]).items():
         for i, v in enumerate(mu + (0,)):
             if i and mu[i - 1] == v:  # an equal part gives the same lam
                 continue
-            lam = tuple(sorted(mu[:i] + (v + k,) + mu[i + 1:], reverse=True))
+            lam = trusted(Partition, sorted(mu[:i] + (v + k,) + mu[i + 1:],
+                                           reverse=True))
             out[lam] = out.get(lam, 0) + c * lam.count(v + k)
     return out
 
@@ -115,7 +107,7 @@ def p_to_m(f):
     for nu, c in f.coeffs.items():
         for lam, k in _row(nu).items():
             out[lam] = out.get(lam, 0) + c * k
-    return _poly(f.degree, "m", out)
+    return SymPoly(f.degree, "m", out)
 
 
 def m_to_p(f):
@@ -130,7 +122,7 @@ def m_to_p(f):
         raise ValueError("expected monomial basis input")
     rest = dict(f.coeffs)
     out = {}
-    for lam in _partitions(f.degree):
+    for lam in sorted(partitions_of(f.degree)):
         c = rest.get(lam)
         if not c:
             continue
@@ -145,7 +137,7 @@ def m_to_p(f):
         out[lam] = b
         for mu, k in row.items():
             rest[mu] = rest.get(mu, 0) - b * k
-    return _poly(f.degree, "p", out)
+    return SymPoly(f.degree, "p", out)
 
 
 def delta(f):
@@ -160,7 +152,7 @@ def delta(f):
         for i, m in pi.multiplicities().items():
             tgt = pi.up(i)
             out[tgt] = out.get(tgt, 0) + c * i * m
-    return _poly(f.degree + 1, "p", out)
+    return SymPoly(f.degree + 1, "p", out)
 
 
 def elementary_in_p(n):
@@ -169,7 +161,7 @@ def elementary_in_p(n):
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs = {nu: Fraction((-1) ** (n - nu.length), nu.z())
+    coeffs = {nu: Fraction((-1) ** (n - len(nu)), nu.z())
               for nu in partitions_of(n)}
     return SymPoly(n, "p", coeffs)
 
@@ -186,9 +178,9 @@ def evaluate(f, xs):
             for k in lam:
                 v *= sum(x ** k for x in xs)
         else:
-            if lam.length > len(xs):
+            if len(lam) > len(xs):
                 continue
-            padded = lam + (0,) * (len(xs) - lam.length)
+            padded = lam + (0,) * (len(xs) - len(lam))
             v = sum(_prodpow(xs, expo) for expo in set(iperm(padded)))
         total += c * v
     return total
@@ -215,8 +207,7 @@ def _diffs(pairs, prefix=""):
 def _compare(n, lhs, rhs):
     """Entries of lhs and rhs that differ, for lam of n in decreasing
     lexicographic order."""
-    return _diffs((lam, lhs[lam], rhs[lam])
-                  for lam in reversed(_partitions(n)))
+    return _diffs((lam, lhs[lam], rhs[lam]) for lam in partitions_of(n))
 
 
 def _report(name, n, diffs):
@@ -226,7 +217,7 @@ def _report(name, n, diffs):
 def _aut_weighted(n, count):
     """sum_lam count(lam) * Aut(lam) * m_lam as a SymPoly."""
     return SymPoly(n, "m", {lam: count(lam) * lam.aut()
-                            for lam in _partitions(n)})
+                            for lam in partitions_of(n)})
 
 
 @lru_cache(maxsize=1)
@@ -240,7 +231,7 @@ def verify_C2A(n):
     """sum_mu C(mu) Aut(mu) m_mu = sum_nu A(nu) p_nu, coefficient-exact."""
     lhs = _aut_weighted(n, count_C)
     rhs = p_to_m(SymPoly(n, "p", {nu: count_A(nu)
-                                  for nu in _partitions(n)}))
+                                  for nu in partitions_of(n)}))
     return _report("C2A", n, _compare(n, lhs, rhs))
 
 
@@ -271,13 +262,13 @@ def verify_reduction(n):
     #                                 i * m_i(lam) * B(lam)
     B = _B(n)
     pairs = []
-    for mu in reversed(_partitions(d)):
-        lhs_c = count_A(mu) * (1 + (-1) ** ((n - mu.length) % 2))
+    for mu in partitions_of(d):
+        lhs_c = count_A(mu) * (1 + (-1) ** ((n - len(mu)) % 2))
         rhs_c = 0
         for j in sorted(set(mu)):
             if j >= 2:
                 lam = mu.down(j)
-                rhs_c += (j - 1) * lam.multiplicity(j - 1) * B[lam]
+                rhs_c += (j - 1) * lam.count(j - 1) * B[lam]
         rhs_c *= d
         pairs.append((mu, lhs_c, rhs_c))
     return _report("reduction", n,

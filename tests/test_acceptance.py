@@ -71,7 +71,7 @@ def test_criterion_1_zagier(capsys):
     for n in range(1, 21):
         table = solve_B(n)
         for m in range(1, n + 1):
-            b = sum(v for lam, v in table.entries.items() if lam.length == m)
+            b = sum(v for lam, v in table.entries.items() if len(lam) == m)
             ok = ok and count_Bprime(n, m) == b
             if m % 2 == n % 2:
                 ok = ok and n * (n + 1) // 2 * b == stirling1_unsigned(
@@ -88,7 +88,7 @@ def test_criterion_2_main_counts(capsys):
         for lam in partitions_of(n):
             from thorntrees.oracle import enumerate_B
             ok = ok and table[lam] == enumerate_B(lam)
-            if lam.length % 2 != n % 2:
+            if len(lam) % 2 != n % 2:
                 ok = ok and table[lam] == 0
     report(capsys, 2, "solver matches brute-force B", ok)
 
@@ -98,7 +98,7 @@ def test_criterion_3_probability(capsys):
     for n in range(1, 7):
         for lam in partitions_of(n):
             got = reformulation_probability(lam)
-            want = Fraction(1, n - lam.length + 1)
+            want = Fraction(1, n - len(lam) + 1)
             ok = ok and got == want and got.denominator == want.denominator
     report(capsys, 3, "reformulation probability", ok)
 
@@ -107,7 +107,7 @@ def test_criterion_4_bijection(capsys):
     ok = True
     for n in range(1, 7):
         for lam in partitions_of(n):
-            p = lam.length
+            p = len(lam)
             images = set()
             maps = 0
             for m in all_star_maps(lam):
@@ -134,7 +134,7 @@ def test_criterion_5_proportions(capsys):
     ok = True
     for n in range(1, 7):
         for lam in partitions_of(n):
-            p = lam.length
+            p = len(lam)
             P, Pp, _ = proportion_stats(lam)
             ok = ok and P == Fraction(1, n - p + 1)
             ok = ok and Pp == Fraction(n, p * (n - p + 1))
@@ -150,7 +150,7 @@ def test_criterion_6_contraction(capsys):
     ok = True
     for n in range(2, 6):
         for mu in partitions_of(n):
-            if mu.length < 2:
+            if len(mu) < 2:
                 continue
             left = {}
             for t in all_permuted_trees(mu):
@@ -166,7 +166,7 @@ def test_criterion_6_contraction(capsys):
             # every ordered degree pair realizable by two distinct vertices
             pairs = set()
             for j, k in combinations_with_replacement(set(mu.parts), 2):
-                if j != k or mu.multiplicity(j) >= 2:
+                if j != k or mu.count(j) >= 2:
                     pairs.add((j, k))
                     pairs.add((k, j))
             for j, k in sorted(pairs):
@@ -176,7 +176,7 @@ def test_criterion_6_contraction(capsys):
                 parts.append(j + k - 1)
                 mu_down = Partition(sorted(parts, reverse=True))
                 right = sum(
-                    j * mu_down.multiplicity(j + k - 1)
+                    j * mu_down.count(j + k - 1)
                     for t2 in all_permuted_trees(mu_down)
                     if t2.tree.white[0] is not None)
                 insts = left.get((j, k), [])

@@ -181,7 +181,7 @@ def test_aux_graph_requires_p1():
 @pytest.mark.parametrize("n", range(2, 6))
 def test_contract_expand_roundtrip(n):
     for lam in partitions_of(n):
-        if lam.length < 2:
+        if len(lam) < 2:
             continue
         for t in all_permuted_trees(lam):
             if classify(t).kind == "no_p1":
@@ -279,7 +279,7 @@ def test_aux_graph_equality_compares_edges():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_proportions(n):
     for lam in partitions_of(n):
-        p = lam.length
+        p = len(lam)
         P, Pp, _ = proportion_stats(lam)
         assert P == Fraction(1, n - p + 1)
         assert Pp == Fraction(n, p * (n - p + 1))
@@ -294,12 +294,12 @@ def test_p1_incidence(n):
             total += 1
             if classify(t).kind != "no_p1":
                 with_p1 += 1
-        assert Fraction(with_p1, total) == Fraction(lam.length, n)
+        assert Fraction(with_p1, total) == Fraction(len(lam), n)
 
 
 def test_p1_incidence_from_proportion_stats():
     for lam in partitions_of(5):
-        assert proportion_stats(lam)[2] == Fraction(lam.length, 5)
+        assert proportion_stats(lam)[2] == Fraction(len(lam), 5)
 
 
 SELF_CHECK_UNDER_O = """

@@ -82,7 +82,7 @@ def test_count_C_and_D():
 def test_C_is_D_times_gap():
     for n in range(1, 9):
         for lam in partitions_of(n):
-            assert count_C(lam) == (n - lam.length + 1) * count_D(lam)
+            assert count_C(lam) == (n - len(lam) + 1) * count_D(lam)
 
 
 def test_solve_B_base_cases():
@@ -97,7 +97,7 @@ def test_solve_B_matches_oracle(n):
     table = solve_B(n)
     for lam in partitions_of(n):
         assert table[lam] == oracle.enumerate_B(lam)
-        if lam.length % 2 != n % 2:
+        if len(lam) % 2 != n % 2:
             assert table[lam] == 0
 
 
@@ -118,7 +118,7 @@ def test_count_Bprime_solves_B_once_per_n(monkeypatch):
     assert solves == [9]
     table = solve_B(9)
     assert row == [sum(v for lam, v in table.entries.items()
-                       if lam.length == m) for m in range(1, 10)]
+                       if len(lam) == m) for m in range(1, 10)]
     assert counting._bprime_row(9) == (0, *row)
 
 

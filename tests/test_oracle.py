@@ -88,7 +88,7 @@ def test_sn_sweep_matches_permutation_objects(n):
         A[lam] = A.get(lam, 0) + 1
         if compose(c, beta.inverse()).is_long_cycle():
             B[lam] = B.get(lam, 0) + 1
-            Bp[lam.length] = Bp.get(lam.length, 0) + 1
+            Bp[len(lam)] = Bp.get(len(lam), 0) + 1
     for lam in partitions_of(n):
         assert enumerate_A(lam) == A.get(lam, 0)
         assert enumerate_B(lam) == B.get(lam, 0)
@@ -178,7 +178,7 @@ def test_enumerate_CD_matches_couple_walk(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_reformulation_probability(n):
     for lam in partitions_of(n):
-        p = lam.length
+        p = len(lam)
         got = reformulation_probability(lam)
         assert got == Fraction(1, n - p + 1)
         assert got.denominator == n - p + 1  # reduced form

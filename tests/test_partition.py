@@ -113,8 +113,8 @@ def test_up_down_move_one_part_and_re_sort():
 
 def test_up_down_preserve_length():
     lam = Partition([3, 2, 2])
-    assert lam.up(2).length == lam.length
-    assert lam.down(3).length == lam.length
+    assert len(lam.up(2)) == len(lam)
+    assert len(lam.down(3)) == len(lam)
     assert lam.up(2).size == lam.size + 1
     assert lam.down(3).size == lam.size - 1
 
@@ -236,6 +236,8 @@ def test_partition_is_its_tuple_of_parts():
     assert hash(lam) == hash((3, 1, 1))
     assert {(3, 1, 1): "x"}[lam] == "x" and {lam: "y"}[(3, 1, 1)] == "y"
     assert lam.parts == (3, 1, 1) and type(lam.parts) is tuple
+    # one spelling per operation: len(lam) and lam.count(i), no aliases
+    assert not hasattr(lam, "length") and not hasattr(lam, "multiplicity")
     assert repr(lam) == "Partition(3, 1, 1)"
     assert Partition([]) == () and repr(Partition([])) == "Partition()"
 

@@ -152,7 +152,7 @@ def test_all_permuted_trees_count(n):
     from math import factorial
     for lam in partitions_of(n):
         trees = list(all_permuted_trees(lam))
-        p = lam.length
+        p = len(lam)
         expected = count_ST(lam) * factorial(n - p)
         assert len(trees) == len(set(trees)) == expected
         # the enumerator skips validation; every tree must still pass it

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import factorial, prod
 
@@ -70,6 +71,28 @@ def test_integral_coefficients_come_back_as_int():
     assert SymPoly(1, "p", {P(1): Fraction(4, 2)}).coeffs == {P(1): 2}
     for h in (f, g, p_to_m(SymPoly(5, "p", {P(3, 2): 7}))):
         assert all(type(c) is int for c in h.coeffs.values())
+
+
+# sha256 of the sorted ((basis, input, key), coefficient) lines of
+# p_to_m(p_nu) and m_to_p(m_lam) for every nu, lam of d <= 8, over plain
+# tuples; captured while the rows were keyed by plain tuples and re-keyed
+# to Partitions afterwards
+TRANSITIONS_8_SHA256 = (
+    "95fe6876bdd0c750f5d421c971b387dccc184cfa615868be641219fa2fa5f7c6")
+
+
+def test_transition_coefficients_pinned():
+    pairs = []
+    for d in range(9):
+        for lam in partitions_of(d):
+            for basis, convert in (("p", p_to_m), ("m", m_to_p)):
+                f = convert(SymPoly(d, basis, {lam: 1}))
+                for mu, c in f.coeffs.items():
+                    assert type(mu) is Partition and mu.size == d
+                    pairs.append(((basis, tuple(lam), tuple(mu)), str(c)))
+    text = "".join("%r %s\n" % pair for pair in sorted(pairs))
+    assert len(pairs) == 794
+    assert hashlib.sha256(text.encode()).hexdigest() == TRANSITIONS_8_SHA256
 
 
 @pytest.mark.parametrize("n", range(1, 8))

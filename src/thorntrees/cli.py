@@ -19,9 +19,9 @@ from .oracle import BudgetExceeded, InternalCheckError
 from .partition import partitions_of
 
 # table B|Bprime n and verify zagier n solve B for every partition of n; on
-# 2 vCPUs under Python 3.11, solve_B takes 0.35-0.6 s CPU at n = 40 and
-# 1.0-1.5 s at n = 45, and the three commands 0.45-0.7 s process wall at
-# n = 40 (ranges over a host whose speed drifts)
+# 2 vCPUs under Python 3.11, solve_B takes 0.25-0.31 s CPU at n = 40 and
+# 0.68-0.85 s at n = 45, and the three commands 0.31-0.74 s process wall
+# at n = 40 (ranges over a host whose speed drifts)
 SOLVER_LIMIT = 40
 # table A|C|D|ST n from the closed forms take 0.9-2.0 s process wall at
 # n = 40 and 2.6-2.7 s at n = 45 for table A (2.6 and 6.9 MB of stdout)

@@ -128,21 +128,30 @@ class Partition(tuple):
 
     def up(self, i):
         """Replace one part i by i+1 (size +1, length preserved): the
-        leftmost one, whose left neighbour is > i, so no re-sort."""
-        if i not in self:
-            raise ValueError("no part %d in %r" % (i, self))
-        k = self.index(i)
-        return Partition(self[:k] + (i + 1,) + self[k + 1:])
+        leftmost one, whose left neighbour is > i, so no re-sort.  The
+        result is valid by construction and built without validation."""
+        try:
+            k = self.index(i)
+        except ValueError:
+            raise ValueError("no part %d in %r" % (i, self)) from None
+        if type(i) is not int:  # a float equal to a part: refused as
+            _require_ints((i + 1,), "parts")  # the constructor refuses it
+        return _trusted_partition(self[:k] + (self[k] + 1,) + self[k + 1:])
 
     def down(self, j):
         """Replace one part j (j >= 2) by j-1 (size -1, length preserved):
-        the rightmost one, whose right neighbour is < j, so no re-sort."""
+        the rightmost one, whose right neighbour is < j, so no re-sort.
+        The result is valid by construction and built without
+        validation."""
         if j < 2:
             raise ValueError("down requires a part >= 2")
-        if j not in self:
-            raise ValueError("no part %d in %r" % (j, self))
-        k = self.index(j) + self.count(j)
-        return Partition(self[:k - 1] + (j - 1,) + self[k:])
+        try:
+            k = self.index(j) + self.count(j) - 1
+        except ValueError:
+            raise ValueError("no part %d in %r" % (j, self)) from None
+        if type(j) is not int:  # a float equal to a part: refused as
+            _require_ints((j - 1,), "parts")  # the constructor refuses it
+        return _trusted_partition(self[:k] + (self[k] - 1,) + self[k + 1:])
 
     def exponential(self):
         """Exponential notation like '1^2 3^1 4^2' (empty partition: '()')."""
@@ -154,6 +163,13 @@ class Partition(tuple):
 
     def __repr__(self):
         return "Partition%r" % (tuple(self),)
+
+
+def _trusted_partition(parts):
+    """A Partition of ``parts`` built without validation: the one way to
+    build one for callers whose parts are positive integers in weakly
+    decreasing order by construction."""
+    return tuple.__new__(Partition, parts)
 
 
 def partitions_of(n):
@@ -170,10 +186,9 @@ def partitions_of(n):
         raise ValueError("n must be an integer, found %r" % (n,))
     if n < 0:
         raise ValueError("n must be >= 0")
-    trusted = tuple.__new__
     x = [n] if n else []
     h = 0 if n > 1 else -1
-    yield trusted(Partition, x)
+    yield _trusted_partition(x)
     while h >= 0:
         if x[h] == 2:
             x[h] = 1
@@ -189,7 +204,7 @@ def partitions_of(n):
                 x.append(t)
                 if t > 1:
                     h += 1
-        yield trusted(Partition, x)
+        yield _trusted_partition(x)
 
 
 class SetPartition(Value):
@@ -212,7 +227,7 @@ class SetPartition(Value):
         super().__init__(n, blocks)
 
     def type_of(self):
-        return Partition(sorted((len(b) for b in self.blocks), reverse=True))
+        return _trusted_partition(sorted(map(len, self.blocks), reverse=True))
 
     def __repr__(self):
         return "SetPartition(%d, %r)" % (self.n, [list(b) for b in self.blocks])

@@ -5,7 +5,7 @@ All ground-set elements are 1-based. Permutations are immutable; the
 """
 
 from .oracle import InternalCheckError
-from .partition import Partition, Value, _require_ints
+from .partition import Value, _require_ints, _trusted_partition
 
 
 class Permutation(Value):
@@ -43,7 +43,7 @@ class Permutation(Value):
         return _cycles(self.images)
 
     def cycle_type(self):
-        return Partition(sorted((len(c) for c in self.cycles()), reverse=True))
+        return _trusted_partition(sorted(map(len, self.cycles()), reverse=True))
 
     def is_long_cycle(self):
         """True iff the permutation is a single cycle covering {1..n}.

@@ -17,7 +17,8 @@ from itertools import chain, combinations, count, permutations as iperm
 
 from .oracle import (DEFAULT_BUDGET, _alpha_betas, _check, _complement_orbit,
                      _cycle_groupings)
-from .partition import Partition, SetPartition, Value, _require_ints, _trusted
+from .partition import (SetPartition, Value, _require_ints, _trusted,
+                        _trusted_partition)
 from .perm import Permutation, _cycles
 
 
@@ -64,7 +65,8 @@ class StarThornTree(Value):
         return 1 + self.blacks[b]
 
     def type_of(self):
-        return Partition(sorted((1 + t for t in self.blacks), reverse=True))
+        return _trusted_partition(sorted((1 + t for t in self.blacks),
+                                         reverse=True))
 
     def edge_slot(self, b):
         return self.white.index(b)

@@ -17,7 +17,8 @@ from itertools import permutations as iperm
 from math import factorial
 
 from .counting import count_A, count_C, count_D, solve_B
-from .partition import Partition, Value, _require_ints, partitions_of
+from .partition import (Partition, Value, _require_ints, _trusted_partition,
+                        partitions_of)
 
 
 def _exact(c):
@@ -84,17 +85,16 @@ def _row(nu):
     (v = 0).  The m_lam it gives, lam holding v + k in place of v, has
     coefficient m_{v+k}(lam), the number of parts of lam that can have
     received k.  Diagonal: [m_nu] p_nu = Aut(nu)."""
-    trusted = tuple.__new__
     if not nu:
-        return {trusted(Partition, ()): 1}
+        return {_trusted_partition(()): 1}
     k = nu[0]
     out = {}
     for mu, c in _row(nu[1:]).items():
         for i, v in enumerate(mu + (0,)):
             if i and mu[i - 1] == v:  # an equal part gives the same lam
                 continue
-            lam = trusted(Partition, sorted(mu[:i] + (v + k,) + mu[i + 1:],
-                                           reverse=True))
+            lam = _trusted_partition(sorted(mu[:i] + (v + k,) + mu[i + 1:],
+                                            reverse=True))
             out[lam] = out.get(lam, 0) + c * lam.count(v + k)
     return out
 

@@ -9,6 +9,8 @@ from thorntrees.partition import (
     permutations_in,
     set_partitions_of_type,
 )
+from thorntrees.perm import all_permutations
+from thorntrees.structures import all_star_thorn_trees
 
 
 def test_partitions_of_4_order():
@@ -54,14 +56,20 @@ def test_partitions_of_matches_the_recursive_reference():
             == list(recursive_partitions(n)), n
 
 
+def assert_valid_partition(p):
+    """``p`` is a Partition of int parts, equal to and hashing like the one
+    the validating constructor makes from its parts."""
+    assert type(p) is Partition
+    assert all(type(x) is int for x in p), p
+    rebuilt = Partition(list(p))
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_partitions_of_are_valid_by_construction(n):
-    # built without validation: each is a Partition equal to, and hashing
-    # like, the one the validating constructor makes from its parts
+    # built without validation
     for p in partitions_of(n):
-        rebuilt = Partition(tuple(p))
-        assert type(p) is Partition
-        assert p == rebuilt and hash(p) == hash(rebuilt)
+        assert_valid_partition(p)
 
 
 def test_partitions_of_yields_independent_tuples():
@@ -124,6 +132,48 @@ def test_up_down_missing_part_rejected():
         Partition([3, 1]).up(2)
     with pytest.raises(ValueError):
         Partition([3, 1]).down(2)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_up_down_are_valid_by_construction(n):
+    for lam in partitions_of(n):
+        for i in set(lam):
+            assert_valid_partition(lam.up(i))
+            if i >= 2:
+                assert_valid_partition(lam.down(i))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda lam: lam.down(2.0), "parts must be integers, found 1.0"),
+    (lambda lam: lam.up(1.0), "parts must be integers, found 2.0"),
+    (lambda lam: lam.down(1), "down requires a part >= 2"),
+    (lambda lam: lam.up(3), "no part 3 in Partition(2, 1)"),
+    (lambda lam: lam.down(3), "no part 3 in Partition(2, 1)"),
+])
+def test_up_down_refusals(call, message):
+    # a float equal to a part never reaches a partition built without
+    # validation: it is refused as the validating constructor refuses it
+    with pytest.raises(ValueError) as exc:
+        call(Partition((2, 1)))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_types_of_permutations_and_set_partitions_are_valid(n):
+    for f in all_permutations(n):
+        assert_valid_partition(f.cycle_type())
+    for lam in partitions_of(n):
+        for sp in set_partitions_of_type(lam):
+            assert_valid_partition(sp.type_of())
+            assert sp.type_of() == lam
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_types_of_star_thorn_trees_are_valid(n):
+    for mu in partitions_of(n):
+        for t in all_star_thorn_trees(mu):
+            assert_valid_partition(t.type_of())
+            assert t.type_of() == mu
 
 
 def test_z_and_aut():

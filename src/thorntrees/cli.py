@@ -31,8 +31,8 @@ TABLE_LIMIT = 40
 # Python converts to text by default
 STIRLING_LIMIT = 1000
 # verify identities n works at degrees n and n+1; at n = 20 the suite takes
-# 0.6-0.8 s and 44 MB, and each step up costs about 1.6x the time and
-# 1.45x the memory (measured table in CHANGES.md)
+# 0.6-0.9 s and 28 MB, and each step up costs about 1.6x the time and
+# 1.3x the memory (measured table in CHANGES.md)
 IDENTITIES_LIMIT = 20
 # --budget bounds every oracle sweep; at 9 each has been measured (verify
 # bijection 9 takes 36 s and 113 MB), and n = 10 costs about ten times that
@@ -52,11 +52,11 @@ class RunReport:
 
     __slots__ = ("command", "items", "refused", "wall_time")
 
-    def __init__(self, command, items=None, refused=None, wall_time=0.0):
+    def __init__(self, command):
         self.command = command
-        self.items = [] if items is None else items
-        self.refused = refused
-        self.wall_time = wall_time
+        self.items = []
+        self.refused = None
+        self.wall_time = 0.0
 
     def add(self, name, expected, actual, provenance):
         self.items.append({"actual": str(actual), "check": name,

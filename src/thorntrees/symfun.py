@@ -7,12 +7,14 @@ coefficient of p_nu counts the ways to drop the parts of nu into the parts
 of lam, filling each exactly (Macdonald, Symmetric Functions, I.6);
 ``_row`` lists these counts for one nu, keyed by ``Partition`` as every
 polynomial is, and ``p_to_m`` and ``m_to_p`` are the two directions over
-those rows.  ``evaluate`` checks both.  The layer keeps no list of
-partitions of its own: it walks ``partitions_of`` where it needs every
-partition of a degree.
+those rows.  ``evaluate`` checks both.  All rows share one key object
+per partition (``_partition``).  The layer keeps no list of partitions of
+its own: it walks ``partitions_of`` where it needs every partition of a
+degree.  It caches no solve either: ``verify_D2B`` and ``verify_reduction``
+each call ``counting.solve_B``.
 """
 
-from functools import cache, lru_cache
+from functools import cache
 from itertools import permutations as iperm
 from math import factorial
 
@@ -75,10 +77,14 @@ class SymPoly(Value):
                        {lam: c * v for lam, v in self.coeffs.items()})
 
 
+# the one Partition of each tuple of parts that _row sorts: no validation
+_partition = cache(_trusted_partition)
+
+
 @cache
 def _row(nu):
     """The m-expansion of p_nu as a dict {lam: [m_lam] p_nu}.  Each lam is
-    a Partition built without validation: it is sorted by construction.
+    ``_partition`` of its parts: one shared object across all rows.
 
     p_nu = p_k * p_rest with k = nu[0].  Multiplying m_mu by p_k adds k to
     one part of a monomial: to a part of value v of mu, or as a new part
@@ -86,15 +92,15 @@ def _row(nu):
     coefficient m_{v+k}(lam), the number of parts of lam that can have
     received k.  Diagonal: [m_nu] p_nu = Aut(nu)."""
     if not nu:
-        return {_trusted_partition(()): 1}
+        return {_partition(()): 1}
     k = nu[0]
     out = {}
     for mu, c in _row(nu[1:]).items():
         for i, v in enumerate(mu + (0,)):
             if i and mu[i - 1] == v:  # an equal part gives the same lam
                 continue
-            lam = _trusted_partition(sorted(mu[:i] + (v + k,) + mu[i + 1:],
-                                            reverse=True))
+            lam = _partition(tuple(sorted(mu[:i] + (v + k,) + mu[i + 1:],
+                                          reverse=True)))
             out[lam] = out.get(lam, 0) + c * lam.count(v + k)
     return out
 
@@ -220,13 +226,6 @@ def _aut_weighted(n, count):
                             for lam in partitions_of(n)})
 
 
-@lru_cache(maxsize=1)
-def _B(n):
-    """solve_B(n), solved once for verify_D2B and verify_reduction (the
-    last n only)."""
-    return solve_B(n)
-
-
 def verify_C2A(n):
     """sum_mu C(mu) Aut(mu) m_mu = sum_nu A(nu) p_nu, coefficient-exact."""
     lhs = _aut_weighted(n, count_C)
@@ -237,7 +236,7 @@ def verify_C2A(n):
 
 def verify_D2B(n):
     """sum_lam D(lam) Aut(lam) m_lam = sum_pi B(pi) p_pi, coefficient-exact."""
-    B = _B(n)
+    B = solve_B(n)
     lhs = _aut_weighted(n, count_D)
     rhs = p_to_m(SymPoly(n, "p", B.entries))
     return _report("D2B", n, _compare(n, lhs, rhs))
@@ -260,7 +259,7 @@ def verify_reduction(n):
     # coefficient extraction against the main counting equation:
     # A(mu)(1 + (-1)^(n - len(mu))) = (n+1) sum_{lam: mu = lam^(up i)}
     #                                 i * m_i(lam) * B(lam)
-    B = _B(n)
+    B = solve_B(n)
     pairs = []
     for mu in partitions_of(d):
         lhs_c = count_A(mu) * (1 + (-1) ** ((n - len(mu)) % 2))

@@ -987,9 +987,17 @@ def test_identities_limit_refusals_pinned(capsys, n):
     assert err.startswith("wall time:") and err.count("\n") == 1
 
 
+# stdout of `verify identities 20`, captured while each row entry still
+# built its own Partition key and symfun kept its own solve of B
+IDENTITIES_20_STDOUT_SHA256 = (
+    "30989a5fcfedfa98e8a82c4739d0bb5f20dd7727f249c550ae43bd7242448f0c")
+
+
 def test_verify_identities_at_the_limit_passes(capsys):
     code, out, _ = run(capsys, "verify", "identities", "20")
     assert code == 0 and json.loads(out)["status"] == "pass"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        IDENTITIES_20_STDOUT_SHA256
 
 
 # stdout of `verify zagier 8`, captured before the CLI imported its layers

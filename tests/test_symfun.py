@@ -216,17 +216,17 @@ def test_identity_reduction(n):
     assert rep["ok"], rep["diffs"]
 
 
-def test_B_cache_keeps_one_n():
-    # verify_D2B and verify_reduction share one solve of n; a library
-    # caller that verifies n = 5 and then n = 6 keeps only the n = 6 table
-    from thorntrees import symfun
+def test_row_keys_are_one_object_per_partition():
+    # every row names each partition through one shared object, so the
+    # rows of a degree hold its partitions once, not once per entry
+    from thorntrees.symfun import _row
 
-    for n in (5, 6):
-        verify_D2B(n)
-        misses = symfun._B.cache_info().misses
-        verify_reduction(n)
-        assert symfun._B.cache_info().misses == misses
-    assert symfun._B.cache_info().currsize == 1
+    seen = {}
+    for d in range(11):
+        for nu in partitions_of(d):
+            for lam in _row(nu):
+                assert type(lam) is Partition and lam.size == d
+                assert seen.setdefault(lam, lam) is lam
 
 
 def test_report_shape():

@@ -6,7 +6,8 @@ Families over partitions of n:
   C(mu)  black-partitioned maps of type mu             -> (n-p)! * ST(mu)
   D(lam) black-partitioned star maps of type lam       -> C(lam)/(n-p+1)
   ST(mu) star thorn trees of type mu
-All arithmetic is exact; any non-integral intermediate raises.
+All arithmetic is exact; any non-integral intermediate raises.  A
+CountTable holds a family's values; the CLI prints them.
 """
 
 from functools import lru_cache
@@ -72,13 +73,18 @@ def count_C(mu):
 
 
 def count_D(lam):
-    """C(lam)/(N-p+1): black-partitioned star maps of type lam."""
+    """C(lam)/(N-p+1): black-partitioned star maps of type lam.  A star
+    map needs the long cycle (1 2 .. N), so N = 0 is refused, as the
+    oracle refuses it."""
+    if not lam:
+        raise ValueError("the long cycle (1 2 .. n) needs n >= 1")
     return _exact_div(count_C(lam), lam.size - len(lam) + 1)
 
 
 class CountTable(Value):
     """Values of one counting family (A | B | C | D | ST) over all
-    partitions of n, with their provenance (formula | solver | oracle)."""
+    partitions of n, with their provenance (formula | solver | oracle).
+    It holds the values only; the CLI prints them."""
 
     __slots__ = _fields = ("n", "family", "entries", "provenance")
 
@@ -91,20 +97,6 @@ class CountTable(Value):
     def rows(self):
         """(partition, value) pairs in decreasing lexicographic order."""
         return sorted(self.entries.items(), reverse=True)
-
-    def to_csv(self):
-        lines = ["partition,value,provenance"]
-        for lam, v in self.rows():
-            lines.append("%s,%d,%s" % (lam.exponential(), v, self.provenance))
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self):
-        return {
-            "family": self.family,
-            "n": self.n,
-            "provenance": self.provenance,
-            "rows": [[lam.exponential(), str(v)] for lam, v in self.rows()],
-        }
 
 
 def table_for(family, n, budget=None):

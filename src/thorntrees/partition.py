@@ -134,8 +134,10 @@ class Partition(tuple):
             k = self.index(i)
         except ValueError:
             raise ValueError("no part %d in %r" % (i, self)) from None
-        if type(i) is not int:  # a float equal to a part: refused as
-            _require_ints((i + 1,), "parts")  # the constructor refuses it
+        if type(i) is not int:  # a float or a bool equal to a part:
+            # refused as the constructor refuses it (True + 1 is the int
+            # 2, so True itself is checked too)
+            _require_ints((i + 1, i), "parts")
         return _trusted_partition(self[:k] + (self[k] + 1,) + self[k + 1:])
 
     def down(self, j):

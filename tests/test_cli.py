@@ -431,6 +431,28 @@ TABLE_STDOUT_SHA256 = {
         0, "8284875f5f14539940a29af86184d058061898db271c6988028c4df62c35dd8e"),
     ('ST', '7', '--oracle', '--budget', '7'): (
         0, "901da1d999be2d1f9b5b2c2d60c0d498075a30b2f4f48c7c3b3c7e2189b74318"),
+    # captured while CountTable and the Bprime and stirling branches each
+    # wrote their own CSV and JSON
+    ('stirling', '12'): (
+        0, "fade5f55da0d251285434cefbf24dbd5f30376eb7c2e73c82e9b36a5d9dff114"),
+    ('stirling', '12', '--format', 'json'): (
+        0, "6b0cf86fe7cb3351a27e9ed9fe211f33674631eb05befd3317bf929eab80e95a"),
+    ('Bprime', '7', '--oracle', '--budget', '7', '--format', 'json'): (
+        0, "81b761e5896cdc86c0421d557457c721d8c9c5477c3cb489f9108b6b74bc3531"),
+    ('A', '5', '--oracle', '--format', 'json'): (
+        0, "90b128b0659ba26184f5d30de9ee578921ca8b51ec90432bef5a8ed5b9563f20"),
+    ('B', '5', '--oracle', '--format', 'json'): (
+        0, "a846510602a2407b7973e3bcc1962e69245447b3756f1ed2a880a1beeb7ae0ce"),
+    ('C', '5', '--oracle', '--format', 'json'): (
+        0, "102c2088abcfbc1e117e260586226ce690873d93739cb1c44faa2d18823a3884"),
+    ('D', '5', '--oracle', '--format', 'json'): (
+        0, "adc7554676a6e211c7d5a45598e09dc81fb58176e0ad30a2a11bb8646f0538c3"),
+    ('ST', '5', '--oracle', '--format', 'json'): (
+        0, "3d133347f7652ab8617949f1d5c0fe6def260fd85c748d4ca006cd96b29a3b07"),
+    ('D', '5', '--oracle', '--format', 'json', '--parity', '0'): (
+        0, "7b73fe8b47be2291d79e5e42753d1ad5e5529e42573341d34bc29cc2d0ab947a"),
+    ('Bprime', '1'): (
+        0, "2539d9f163ac8e6fb03e9471589611eba25f5f36cbb3b5a81dc276e0fba3b131"),
 }
 
 
@@ -496,6 +518,19 @@ def test_table_C_0_oracle_counts_the_empty_couple(capsys):
     for fam in ("D", "B"):
         assert run(capsys, "table", fam, "0", "--oracle") == (
             2, "", "error: the long cycle (1 2 .. n) needs n >= 1\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("parity", [(), ("--parity", "0"),
+                                    ("--parity", "1")])
+@pytest.mark.parametrize("source", [(), ("--oracle",)])
+def test_table_D_0_is_refused_in_every_format_and_parity(capsys, fmt, parity,
+                                                         source):
+    # star maps need the long cycle (1 2 .. n): the formula refuses n = 0
+    # as the oracle does, where it once printed "(),1,formula"
+    assert run(capsys, "table", "D", "0", "--format", fmt, *parity,
+               *source) == (
+        2, "", "error: the long cycle (1 2 .. n) needs n >= 1\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -207,14 +208,22 @@ def test_lift_recurrence_missing_part():
         check_lift_recurrence(Partition([3]), 2)
 
 
-def test_table_export():
-    from thorntrees.counting import table_for
+def test_count_D_refuses_n_0():
+    # D counts star maps, which need the long cycle (1 2 .. n)
+    with pytest.raises(ValueError, match=r"long cycle \(1 2 \.\. n\) needs"):
+        count_D(Partition([]))
 
-    t = table_for("A", 4)
-    csv = t.to_csv()
-    assert csv.splitlines()[0] == "partition,value,provenance"
+
+def test_table_export(capsys):
+    # a CountTable holds values; the CLI prints them
+    from thorntrees import cli
+
+    assert cli.main(["table", "A", "4"]) == 0
+    csv = capsys.readouterr().out.splitlines()
+    assert csv[0] == "partition,value,provenance"
     assert "4^1,6,formula" in csv
-    obj = t.to_json_obj()
+    assert cli.main(["table", "A", "4", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
     assert obj["rows"][0] == ["4^1", "6"]
 
 

@@ -146,13 +146,15 @@ def test_up_down_are_valid_by_construction(n):
 @pytest.mark.parametrize("call, message", [
     (lambda lam: lam.down(2.0), "parts must be integers, found 1.0"),
     (lambda lam: lam.up(1.0), "parts must be integers, found 2.0"),
+    (lambda lam: lam.up(True), "parts must be integers, found True"),
     (lambda lam: lam.down(1), "down requires a part >= 2"),
     (lambda lam: lam.up(3), "no part 3 in Partition(2, 1)"),
     (lambda lam: lam.down(3), "no part 3 in Partition(2, 1)"),
 ])
 def test_up_down_refusals(call, message):
-    # a float equal to a part never reaches a partition built without
-    # validation: it is refused as the validating constructor refuses it
+    # a float or a bool equal to a part never reaches a partition built
+    # without validation: it is refused as the validating constructor
+    # refuses it
     with pytest.raises(ValueError) as exc:
         call(Partition((2, 1)))
     assert str(exc.value) == message
